@@ -16,6 +16,11 @@
 //! merged internally by `(ts, seq)`), and [`Detector::on_punctuation`]
 //! when stream time advances — window-expiry exceptions (§3.1.3's *active
 //! expiration*) fire only from punctuations.
+//!
+//! A punctuation touches only the partitions that are due: each live
+//! partition keeps at most one entry in a min-heap keyed by its engine's
+//! [`ModeEngine::next_deadline`], so the cost of a reading does not
+//! depend on how many partitions are live (DESIGN.md §17).
 
 use crate::binding::{DetectorOutput, SeqMatch};
 use crate::modes::{engine_for, Exception, ModeEngine};
@@ -24,11 +29,13 @@ use eslev_dsms::ckpt::StateNode;
 use eslev_dsms::error::{DsmsError, Result};
 use eslev_dsms::expr::Expr;
 use eslev_dsms::hash::FnvBuildHasher;
-use eslev_dsms::key::{KeyCodec, StateKey};
+use eslev_dsms::key::KeyCodec;
 use eslev_dsms::time::Timestamp;
 use eslev_dsms::tuple::Tuple;
 use eslev_dsms::value::Value;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 /// Residual predicate over a complete match.
@@ -87,12 +94,126 @@ impl DetectorConfig {
     }
 }
 
+/// One live partition in the detector's slab.
+struct Partition {
+    /// Encoded partition key (its only copy; the index holds slots).
+    key: Box<[u8]>,
+    /// Creation ordinal: the punctuation emission and checkpoint order.
+    creation: u64,
+    /// Time of this partition's one live deadline-heap entry; never later
+    /// than the engine's `next_deadline`.
+    due: Option<Timestamp>,
+    /// Queued on the detector's `emptied` list.
+    emptied: bool,
+    engine: Box<dyn ModeEngine>,
+}
+
+type Slots = [Option<Partition>];
+
+fn key_at(slots: &Slots, slot: u32) -> &[u8] {
+    &slots[slot as usize]
+        .as_ref()
+        .expect("indexed slots are live")
+        .key
+}
+
+/// Open-addressing index from partition key to slab slot. It holds slot
+/// numbers only and compares probes against the slab's keys, so every
+/// key is stored once. Linear probing, at most half full, backward-shift
+/// deletion (no tombstones).
+#[derive(Default)]
+struct KeyIndex {
+    /// Slot per bucket or [`VACANT`]; empty or a power of two long.
+    buckets: Vec<u32>,
+    len: usize,
+}
+
+const VACANT: u32 = u32::MAX;
+
+impl KeyIndex {
+    fn home(&self, key: &[u8]) -> usize {
+        let h = FnvBuildHasher::default().hash_one(key);
+        // Fibonacci hashing: the product's top bits mix every input bit.
+        let bits = self.buckets.len().trailing_zeros();
+        (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// The bucket holding `key`'s slot.
+    fn position(&self, key: &[u8], slots: &Slots) -> Option<usize> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let mask = self.buckets.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.buckets[i] {
+                VACANT => return None,
+                s if key_at(slots, s) == key => return Some(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn get(&self, key: &[u8], slots: &Slots) -> Option<u32> {
+        self.position(key, slots).map(|i| self.buckets[i])
+    }
+
+    /// Index `slot`, whose partition (holding `key`) is already in `slots`.
+    fn insert(&mut self, key: &[u8], slot: u32, slots: &Slots) {
+        if 2 * (self.len + 1) > self.buckets.len() {
+            let cap = (2 * self.buckets.len()).max(8);
+            let old = std::mem::replace(&mut self.buckets, vec![VACANT; cap]);
+            self.len = 0;
+            for s in old.into_iter().filter(|&s| s != VACANT) {
+                self.insert(key_at(slots, s), s, slots);
+            }
+        }
+        let mask = self.buckets.len() - 1;
+        let mut i = self.home(key);
+        while self.buckets[i] != VACANT {
+            i = (i + 1) & mask;
+        }
+        self.buckets[i] = slot;
+        self.len += 1;
+    }
+
+    /// Unindex `key` (its partition still in `slots`), shifting later
+    /// probes back over the hole.
+    fn remove(&mut self, key: &[u8], slots: &Slots) {
+        let Some(mut hole) = self.position(key, slots) else {
+            return;
+        };
+        let mask = self.buckets.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let s = self.buckets[i];
+            if s == VACANT {
+                break;
+            }
+            // Move `s` back unless its home lies cyclically in (hole, i].
+            let home = self.home(key_at(slots, s));
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.buckets[hole] = s;
+                hole = i;
+            }
+        }
+        self.buckets[hole] = VACANT;
+        self.len -= 1;
+    }
+}
+
+/// Min-heap of `(due, creation, slot)`. An entry that no longer matches
+/// its slot's `(creation, due)` is stale and skipped.
+type Deadlines = BinaryHeap<Reverse<(Timestamp, u64, u32)>>;
+
 /// The incremental multi-stream sequence detector.
 ///
-/// Partition state keys on compact [`StateKey`] encodings and iterates
-/// in **creation order** (tracked in `order`), so punctuation-driven
-/// emission is deterministic and identical across representations and
-/// across a checkpoint/restore boundary.
+/// Partitions live in a slab indexed by their compact key encoding. A
+/// punctuation pops the due partitions off a deadline heap and runs them
+/// in **creation order**, so expiry emission is deterministic and
+/// identical across representations and across a checkpoint/restore
+/// boundary — without visiting the partitions that are not due.
 pub struct Detector {
     pattern: Arc<SeqPattern>,
     kind: DetectKind,
@@ -100,15 +221,25 @@ pub struct Detector {
     filter: Option<MatchFilter>,
     codec: KeyCodec,
     scratch: Vec<u8>,
-    states: HashMap<StateKey, Box<dyn ModeEngine>, FnvBuildHasher>,
-    /// Live partition keys in creation order — the punctuation
-    /// iteration and checkpoint serialization order.
-    order: Vec<StateKey>,
+    /// Partition key → slot in `slots`.
+    index: KeyIndex,
+    slots: Vec<Option<Partition>>,
+    /// Vacant slots, reused before `slots` grows.
+    free: Vec<u32>,
+    deadlines: Deadlines,
+    /// Partitions `on_tuple` left empty; the next punctuation drops those
+    /// still empty — when dead partitions have always been dropped.
+    emptied: Vec<u32>,
+    /// Reused per call: raw engine outputs, and the due `(creation,
+    /// slot)`s of a punctuation.
+    raw: Vec<DetectorOutput>,
+    due: Vec<(u64, u32)>,
     matches_emitted: u64,
     exceptions_emitted: u64,
+    /// Also the next partition's creation ordinal.
     partitions_created: u64,
     /// Prunes carried over from partitions already dropped, so the total
-    /// survives the dead-partition sweep in [`Detector::on_punctuation`].
+    /// survives dropping them.
     prunes_carry: u64,
 }
 
@@ -131,8 +262,13 @@ impl Detector {
             filter: config.filter,
             codec: KeyCodec::raw(),
             scratch: Vec::new(),
-            states: HashMap::default(),
-            order: Vec::new(),
+            index: KeyIndex::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            deadlines: BinaryHeap::new(),
+            emptied: Vec::new(),
+            raw: Vec::new(),
+            due: Vec::new(),
             matches_emitted: 0,
             exceptions_emitted: 0,
             partitions_created: 0,
@@ -147,7 +283,7 @@ impl Detector {
 
     /// Total encoded bytes of live partition keys.
     pub fn state_key_bytes(&self) -> usize {
-        self.states.keys().map(|k| k.len()).sum()
+        self.live().map(|p| p.key.len()).sum()
     }
 
     /// The pattern being detected.
@@ -175,55 +311,155 @@ impl Detector {
             let v = keys[port].eval(&[t])?;
             self.codec.encode_value_into(&mut self.scratch, &v);
         }
-        if !self.states.contains_key(self.scratch.as_slice()) {
-            self.partitions_created += 1;
-            let eng: Box<dyn ModeEngine> = match self.kind {
-                DetectKind::Seq => engine_for(self.pattern.mode, &self.pattern),
-                DetectKind::ExceptionSeq => Box::new(Exception::new()),
-            };
-            let key = StateKey::from_slice(&self.scratch);
-            self.order.push(key.clone());
-            self.states.insert(key, eng);
+        let slot = match self.index.get(&self.scratch, &self.slots) {
+            Some(slot) => slot,
+            None => self.create_partition(),
+        };
+        let p = self.slots[slot as usize]
+            .as_mut()
+            .expect("the index names live slots");
+        self.raw.clear();
+        let res = p.engine.on_tuple(&self.pattern, port, t, &mut self.raw);
+        // Bookkeeping runs even on error: the engine may have changed.
+        Self::arm(&mut self.deadlines, &self.pattern, slot, p);
+        if !p.emptied && p.engine.is_empty() {
+            p.emptied = true;
+            self.emptied.push(slot);
         }
-        let pattern = self.pattern.clone();
-        let mut raw = Vec::new();
-        self.states
-            .get_mut(self.scratch.as_slice())
-            .expect("partition just ensured")
-            .on_tuple(&pattern, port, t, &mut raw)?;
-        self.postprocess(raw)
+        res?;
+        self.postprocess()
     }
 
     /// Advance stream time: purge state and fire window-expiry events.
-    /// Partitions are visited in creation order, so expiry emission is
-    /// deterministic (and survives checkpoint/restore unchanged).
+    /// Only partitions whose deadline `ts` has passed are visited, in
+    /// creation order, so expiry emission is deterministic (and survives
+    /// checkpoint/restore unchanged).
     pub fn on_punctuation(&mut self, ts: Timestamp) -> Result<Vec<DetectorOutput>> {
-        let pattern = self.pattern.clone();
-        let mut raw = Vec::new();
-        for key in &self.order {
-            let eng = self.states.get_mut(key).expect("order tracks states");
-            eng.on_punctuation(&pattern, ts, &mut raw)?;
+        if self.emptied.is_empty() && self.deadlines.peek().is_none_or(|e| e.0 .0 >= ts) {
+            return Ok(Vec::new()); // nothing to sweep, nothing due
         }
         // Dead partitions hold nothing: drop them so long-lived detectors
-        // over high-cardinality keys do not leak. Their prune totals move
-        // into the carry first so the detector-wide count is monotonic.
-        let carry = &mut self.prunes_carry;
-        let states = &mut self.states;
-        self.order.retain(|k| {
-            let keep = states.get(k).is_some_and(|e| e.retained() > 0);
-            if !keep {
-                if let Some(e) = states.remove(k) {
-                    *carry += e.prunes();
-                }
+        // over high-cardinality keys do not leak. Those `on_tuple` left
+        // empty die here unless refilled since — which keeps CHRONICLE's
+        // consume-and-refill partitions at their original creation rank.
+        let mut emptied = std::mem::take(&mut self.emptied);
+        for slot in emptied.drain(..) {
+            let p = self.slots[slot as usize]
+                .as_mut()
+                .expect("emptied partitions live until swept");
+            p.emptied = false;
+            if p.engine.is_empty() {
+                self.drop_partition(slot);
             }
-            keep
-        });
-        self.postprocess(raw)
+        }
+        self.emptied = emptied;
+
+        // Pop everything due (`ts > due`). A live entry whose engine's
+        // deadline has since moved later is re-armed, not run.
+        let mut due = std::mem::take(&mut self.due);
+        while let Some(&Reverse((at, creation, slot))) = self.deadlines.peek() {
+            if at >= ts {
+                break;
+            }
+            self.deadlines.pop();
+            let Some(p) = self.slots[slot as usize]
+                .as_mut()
+                .filter(|p| p.creation == creation && p.due == Some(at))
+            else {
+                continue; // stale: dropped, reused or re-armed earlier
+            };
+            p.due = None;
+            match p.engine.next_deadline(&self.pattern) {
+                Some(d) if d < ts => due.push((creation, slot)),
+                _ => Self::arm(&mut self.deadlines, &self.pattern, slot, p),
+            }
+        }
+
+        // Run them in creation order — the emission order the checkpoint
+        // format and every earlier release guarantee.
+        due.sort_unstable();
+        self.raw.clear();
+        let mut result = Ok(());
+        for &(_, slot) in &due {
+            let p = self.slots[slot as usize]
+                .as_mut()
+                .expect("due partitions are live");
+            result = result.and(p.engine.on_punctuation(&self.pattern, ts, &mut self.raw));
+            if p.engine.is_empty() {
+                self.drop_partition(slot);
+            } else {
+                Self::arm(&mut self.deadlines, &self.pattern, slot, p);
+            }
+        }
+        due.clear();
+        self.due = due;
+        result?;
+        self.postprocess()
     }
 
-    fn postprocess(&mut self, raw: Vec<DetectorOutput>) -> Result<Vec<DetectorOutput>> {
-        let mut out = Vec::with_capacity(raw.len());
-        for o in raw {
+    fn new_engine(&self) -> Box<dyn ModeEngine> {
+        match self.kind {
+            DetectKind::Seq => engine_for(self.pattern.mode, &self.pattern),
+            DetectKind::ExceptionSeq => Box::new(Exception::new()),
+        }
+    }
+
+    /// Open a partition for the key in `scratch`.
+    fn create_partition(&mut self) -> u32 {
+        let slot = self.insert(Partition {
+            key: self.scratch.as_slice().into(),
+            creation: self.partitions_created,
+            due: None,
+            emptied: false,
+            engine: self.new_engine(),
+        });
+        self.partitions_created += 1;
+        self.index.insert(&self.scratch, slot, &self.slots);
+        slot
+    }
+
+    fn insert(&mut self, p: Partition) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(p);
+                slot
+            }
+            None => {
+                self.slots.push(Some(p));
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 live partitions")
+            }
+        }
+    }
+
+    /// Drop a dead partition; its prunes move into the carry so the
+    /// detector-wide count stays monotonic.
+    fn drop_partition(&mut self, slot: u32) {
+        self.index.remove(key_at(&self.slots, slot), &self.slots);
+        let p = self.slots[slot as usize]
+            .take()
+            .expect("dropping a live partition");
+        self.prunes_carry += p.engine.prunes();
+        self.free.push(slot);
+    }
+
+    /// Give `p` a heap entry when its engine's deadline is new or earlier
+    /// than the one armed — so each partition has at most one live entry.
+    fn arm(deadlines: &mut Deadlines, pattern: &SeqPattern, slot: u32, p: &mut Partition) {
+        if let Some(d) = p.engine.next_deadline(pattern) {
+            if p.due.is_none_or(|due| d < due) {
+                p.due = Some(d);
+                deadlines.push(Reverse((d, p.creation, slot)));
+            }
+        }
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Partition> {
+        self.slots.iter().flatten()
+    }
+
+    fn postprocess(&mut self) -> Result<Vec<DetectorOutput>> {
+        let mut out = Vec::with_capacity(self.raw.len());
+        for o in self.raw.drain(..) {
             match &o {
                 DetectorOutput::Match(m) => {
                     if let Some(f) = &self.filter {
@@ -248,12 +484,12 @@ impl Detector {
     /// Tuples currently retained across all partitions — the history
     /// metric the pairing modes bound.
     pub fn retained(&self) -> usize {
-        self.states.values().map(|e| e.retained()).sum()
+        self.live().map(|p| p.engine.retained()).sum()
     }
 
     /// Live partition count.
     pub fn partitions(&self) -> usize {
-        self.states.len()
+        self.index.len
     }
 
     /// Matches emitted so far.
@@ -276,24 +512,24 @@ impl Detector {
     /// RECENT overwrites constantly, CHRONICLE only on window expiry,
     /// CONSECUTIVE on every adjacency break.
     pub fn prunes(&self) -> u64 {
-        self.prunes_carry + self.states.values().map(|e| e.prunes()).sum::<u64>()
+        self.prunes_carry + self.live().map(|p| p.engine.prunes()).sum::<u64>()
     }
 
     /// Serialize every partition's engine state plus the emission
     /// counters. Partitions serialize in creation order — the order is
-    /// itself state (it drives punctuation iteration), so a restored
-    /// detector must rebuild it exactly; keys decode back to values so
-    /// the checkpoint stays representation-independent.
+    /// itself state (it orders expiry emission), so a restored detector
+    /// must rebuild it exactly; keys decode back to values so the
+    /// checkpoint stays representation-independent.
     pub fn save_state(&self) -> Result<StateNode> {
-        let parts = self
-            .order
-            .iter()
-            .map(|k| {
-                let e = &self.states[k];
-                let vals = self.codec.decode(k.as_bytes())?;
+        let mut live: Vec<&Partition> = self.live().collect();
+        live.sort_unstable_by_key(|p| p.creation);
+        let parts = live
+            .into_iter()
+            .map(|p| {
+                let vals = self.codec.decode(&p.key)?;
                 Ok(StateNode::List(vec![
                     StateNode::List(vals.into_iter().map(StateNode::Value).collect()),
-                    e.save_state()?,
+                    p.engine.save_state()?,
                 ]))
             })
             .collect::<Result<Vec<StateNode>>>()?;
@@ -308,29 +544,54 @@ impl Detector {
 
     /// Restore state saved by [`Detector::save_state`] into a detector
     /// built from the same configuration (pattern, kind, partitioning).
+    /// Partitions are renumbered in saved order and the deadline index is
+    /// rebuilt from each engine's `next_deadline`.
     pub fn restore_state(&mut self, state: &StateNode) -> Result<()> {
-        self.states.clear();
-        self.order.clear();
-        for part in state.item(0)?.as_list()? {
+        self.index = KeyIndex::default();
+        self.slots.clear();
+        self.free.clear();
+        self.deadlines.clear();
+        self.emptied.clear();
+        let parts = state.item(0)?.as_list()?;
+        for (creation, part) in (0u64..).zip(parts) {
             let key = part
                 .item(0)?
                 .as_list()?
                 .iter()
                 .map(|v| v.as_value().cloned())
                 .collect::<Result<Vec<Value>>>()?;
-            let mut eng: Box<dyn ModeEngine> = match self.kind {
-                DetectKind::Seq => engine_for(self.pattern.mode, &self.pattern),
-                DetectKind::ExceptionSeq => Box::new(Exception::new()),
-            };
-            eng.restore_state(part.item(1)?)?;
             let key = self.codec.encode(&key);
-            self.order.push(key.clone());
-            self.states.insert(key, eng);
+            if self.index.get(key.as_bytes(), &self.slots).is_some() {
+                return Err(DsmsError::ckpt(
+                    "detector checkpoint repeats a partition key",
+                ));
+            }
+            let mut engine = self.new_engine();
+            engine.restore_state(&self.pattern, part.item(1)?)?;
+            let slot = self.insert(Partition {
+                key: key.as_bytes().into(),
+                creation,
+                due: None,
+                emptied: false,
+                engine,
+            });
+            self.index.insert(key.as_bytes(), slot, &self.slots);
+            let p = self.slots[slot as usize].as_mut().expect("just inserted");
+            Self::arm(&mut self.deadlines, &self.pattern, slot, p);
+            if p.engine.is_empty() {
+                p.emptied = true;
+                self.emptied.push(slot);
+            }
         }
         self.matches_emitted = state.item(1)?.as_u64()?;
         self.exceptions_emitted = state.item(2)?.as_u64()?;
         self.partitions_created = state.item(3)?.as_u64()?;
         self.prunes_carry = state.item(4)?.as_u64()?;
+        if self.partitions_created < parts.len() as u64 {
+            return Err(DsmsError::ckpt(
+                "detector checkpoint holds more partitions than it created",
+            ));
+        }
         Ok(())
     }
 }

@@ -9,7 +9,7 @@
 //! "once a matching occurs ... the participating tuples can be removed
 //! from the tuple history".
 
-use super::ModeEngine;
+use super::{check_contract, contract_probe, ModeEngine};
 use crate::binding::{Binding, DetectorOutput, SeqMatch};
 use crate::ckpt::{restore_binding, restore_run, save_binding, save_run};
 use crate::pattern::{SeqPattern, WindowKind};
@@ -135,6 +135,31 @@ impl Chronicle {
         }
     }
 
+    /// Which queues a punctuation purges (from which position on) and the
+    /// instant a queued binding expires at — it is dropped once stream
+    /// time passes it. Completions happen at ≥ the punctuation's time, so:
+    /// under `PRECEDING` the final anchor, every queued tuple must lie
+    /// within d before the completion; under `FOLLOWING`, a binding at or
+    /// after the anchor must lie within d after an anchor that precedes
+    /// it, so once its own first tuple is d old no completion can follow.
+    /// Other windows bound nothing that is queued.
+    fn queue_expiry(pat: &SeqPattern) -> Option<(usize, impl Fn(&Binding) -> Timestamp)> {
+        let w = pat.window?;
+        let from = match w.kind {
+            WindowKind::Preceding if w.anchor == pat.len() - 1 => 0,
+            WindowKind::Following => w.anchor,
+            WindowKind::Preceding => return None,
+        };
+        let expiry = move |b: &Binding| {
+            let edge = match w.kind {
+                WindowKind::Preceding => b.last(),
+                WindowKind::Following => b.first(),
+            };
+            edge.ts().saturating_add(w.dur)
+        };
+        Some((from, expiry))
+    }
+
     fn emit_if_windowed(
         pat: &SeqPattern,
         bindings: Vec<Binding>,
@@ -159,7 +184,7 @@ impl ModeEngine for Chronicle {
     ) -> Result<()> {
         let n = pat.len();
         let mut consumed_as_final = false;
-        for k in pat.candidates(port).collect::<Vec<_>>() {
+        for k in pat.candidates(port) {
             if consumed_as_final {
                 break;
             }
@@ -220,29 +245,13 @@ impl ModeEngine for Chronicle {
         ts: Timestamp,
         _out: &mut Vec<DetectorOutput>,
     ) -> Result<()> {
-        if let Some(w) = &pat.window {
-            match w.kind {
-                WindowKind::Preceding if w.anchor == pat.len() - 1 => {
-                    // Completion happens at ≥ ts, so anything older than
-                    // ts − d can never sit inside the window again.
-                    let bound = ts.saturating_sub(w.dur);
-                    for q in &mut self.queues {
-                        while q.front().is_some_and(|b| b.last().ts() < bound) {
-                            q.pop_front();
-                            self.prunes += 1;
-                        }
-                    }
+        let probe = contract_probe(self, pat, ts);
+        if let Some((from, expiry)) = Self::queue_expiry(pat) {
+            for q in &mut self.queues[from..] {
+                while q.front().is_some_and(|b| expiry(b) < ts) {
+                    q.pop_front();
+                    self.prunes += 1;
                 }
-                WindowKind::Following => {
-                    // Anchor candidates whose window already closed can
-                    // never head a completing chain.
-                    let q = &mut self.queues[w.anchor];
-                    while q.front().is_some_and(|b| b.first().ts() + w.dur < ts) {
-                        q.pop_front();
-                        self.prunes += 1;
-                    }
-                }
-                _ => {}
             }
         }
         if let Some(run) = &self.trailing {
@@ -251,7 +260,23 @@ impl ModeEngine for Chronicle {
                 self.prunes += 1;
             }
         }
+        check_contract(probe, self);
         Ok(())
+    }
+
+    fn next_deadline(&self, pat: &SeqPattern) -> Option<Timestamp> {
+        let queued = Self::queue_expiry(pat).and_then(|(from, expiry)| {
+            self.queues[from..]
+                .iter()
+                .filter_map(|q| q.front().map(&expiry))
+                .min()
+        });
+        let trailing = self.trailing.as_ref().and_then(|r| r.deadline(pat));
+        queued.into_iter().chain(trailing).min()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.trailing.is_none() && self.queues.iter().all(VecDeque::is_empty)
     }
 
     fn retained(&self) -> usize {
@@ -284,7 +309,7 @@ impl ModeEngine for Chronicle {
         ]))
     }
 
-    fn restore_state(&mut self, state: &StateNode) -> Result<()> {
+    fn restore_state(&mut self, _pat: &SeqPattern, state: &StateNode) -> Result<()> {
         let queues = state.item(0)?.as_list()?;
         if queues.len() != self.queues.len() {
             return Err(DsmsError::ckpt(format!(
@@ -525,6 +550,58 @@ mod tests {
         eng.on_tuple(&pat, 0, &t(20, 1), &mut out).unwrap();
         eng.on_tuple(&pat, 1, &t(25, 2), &mut out).unwrap();
         assert_eq!(out.len(), 1);
+    }
+
+    /// Under `FOLLOWING`, a queued binding after the anchor can only pair
+    /// with an anchor that precedes it, so it dies with its own window —
+    /// it used to stay queued forever once the anchors were purged.
+    #[test]
+    fn following_window_purges_queues_past_the_anchor() {
+        // SEQ(A, B, C) OVER [10 s FOLLOWING A]; C never comes.
+        let pat = SeqPattern::new(
+            (0..3).map(Element::new).collect(),
+            Some(EventWindow::following(Duration::from_secs(10), 0)),
+            PairingMode::Chronicle,
+        )
+        .unwrap();
+        let mut eng = Chronicle::new(&pat);
+        let mut out = Vec::new();
+        eng.on_tuple(&pat, 0, &t(0, 0), &mut out).unwrap();
+        eng.on_tuple(&pat, 1, &t(2, 1), &mut out).unwrap();
+        eng.on_tuple(&pat, 1, &t(3, 2), &mut out).unwrap();
+        assert_eq!(eng.next_deadline(&pat), Some(Timestamp::from_secs(10)));
+        eng.on_punctuation(&pat, Timestamp::from_secs(12), &mut out)
+            .unwrap();
+        assert_eq!(eng.next_deadline(&pat), Some(Timestamp::from_secs(12)));
+        eng.on_punctuation(&pat, Timestamp::from_secs(14), &mut out)
+            .unwrap();
+        assert!(eng.is_empty());
+        assert_eq!(eng.retained(), 0);
+    }
+
+    /// The same purge unblocks a star past the anchor: a dead group no
+    /// longer absorbs later tuples, so a fresh anchor can match again.
+    #[test]
+    fn dead_star_group_past_the_anchor_no_longer_blocks() {
+        // SEQ(A, B*, C) OVER [10 s FOLLOWING A], no star gap.
+        let pat = SeqPattern::new(
+            vec![Element::new(0), Element::star(1), Element::new(2)],
+            Some(EventWindow::following(Duration::from_secs(10), 0)),
+            PairingMode::Chronicle,
+        )
+        .unwrap();
+        let mut eng = Chronicle::new(&pat);
+        let mut out = Vec::new();
+        eng.on_tuple(&pat, 0, &t(0, 0), &mut out).unwrap();
+        eng.on_tuple(&pat, 1, &t(5, 1), &mut out).unwrap();
+        eng.on_punctuation(&pat, Timestamp::from_secs(16), &mut out)
+            .unwrap();
+        eng.on_tuple(&pat, 0, &t(17, 2), &mut out).unwrap();
+        eng.on_tuple(&pat, 1, &t(18, 3), &mut out).unwrap();
+        eng.on_tuple(&pat, 2, &t(19, 4), &mut out).unwrap();
+        assert_eq!(out.len(), 1);
+        let m = out[0].as_match().unwrap();
+        assert_eq!(m.binding(1).first().ts(), Timestamp::from_secs(18));
     }
 }
 

@@ -9,7 +9,7 @@
 //! pattern's first element. History is at most one partial match — the
 //! tightest of the four modes.
 
-use super::ModeEngine;
+use super::{check_contract, contract_probe, ModeEngine};
 use crate::binding::DetectorOutput;
 use crate::ckpt::{restore_run, save_run};
 use crate::pattern::SeqPattern;
@@ -93,11 +93,21 @@ impl ModeEngine for Consecutive {
         ts: Timestamp,
         _out: &mut Vec<DetectorOutput>,
     ) -> Result<()> {
+        let probe = contract_probe(self, pat, ts);
         if self.run.deadline(pat).is_some_and(|d| ts > d) {
             self.run = Run::new();
             self.prunes += 1;
         }
+        check_contract(probe, self);
         Ok(())
+    }
+
+    fn next_deadline(&self, pat: &SeqPattern) -> Option<Timestamp> {
+        self.run.deadline(pat)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.run.is_untouched()
     }
 
     fn retained(&self) -> usize {
@@ -115,7 +125,7 @@ impl ModeEngine for Consecutive {
         ]))
     }
 
-    fn restore_state(&mut self, state: &StateNode) -> Result<()> {
+    fn restore_state(&mut self, _pat: &SeqPattern, state: &StateNode) -> Result<()> {
         self.run = restore_run(state.item(0)?)?;
         self.prunes = state.item(1)?.as_u64()?;
         Ok(())

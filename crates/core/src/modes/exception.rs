@@ -19,7 +19,7 @@
 //! breaks a partial *and* fails to start a new sequence reports only the
 //! break (the paper's scenarios are mutually exclusive per arrival).
 
-use super::ModeEngine;
+use super::{check_contract, contract_probe, ModeEngine};
 use crate::binding::{DetectorOutput, ExceptionCause, ExceptionEvent};
 use crate::ckpt::{restore_run, save_run};
 use crate::pattern::SeqPattern;
@@ -112,10 +112,21 @@ impl ModeEngine for Exception {
         ts: Timestamp,
         out: &mut Vec<DetectorOutput>,
     ) -> Result<()> {
+        let probe = contract_probe(self, pat, ts);
         if !self.run.is_untouched() && self.run.deadline(pat).is_some_and(|d| ts > d) {
             self.raise(ExceptionCause::WindowExpiry, ts, out);
         }
+        check_contract(probe, self);
         Ok(())
+    }
+
+    fn next_deadline(&self, pat: &SeqPattern) -> Option<Timestamp> {
+        // An untouched run has no first tuple, hence no deadline.
+        self.run.deadline(pat)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.run.is_untouched()
     }
 
     fn retained(&self) -> usize {
@@ -133,7 +144,7 @@ impl ModeEngine for Exception {
         ]))
     }
 
-    fn restore_state(&mut self, state: &StateNode) -> Result<()> {
+    fn restore_state(&mut self, _pat: &SeqPattern, state: &StateNode) -> Result<()> {
         self.run = restore_run(state.item(0)?)?;
         self.prunes = state.item(1)?.as_u64()?;
         Ok(())

@@ -40,12 +40,25 @@ pub trait ModeEngine: Send {
     ) -> Result<()>;
 
     /// Stream time advanced: purge expired state, fire expiry exceptions.
+    /// A no-op whenever `ts` ≤ [`ModeEngine::next_deadline`] (or there is
+    /// none) — the detector relies on this to skip engines that are not
+    /// due, and debug builds assert it.
     fn on_punctuation(
         &mut self,
         pat: &SeqPattern,
         ts: Timestamp,
         out: &mut Vec<DetectorOutput>,
     ) -> Result<()>;
+
+    /// The earliest `d` such that `on_punctuation(ts)` with `ts > d`
+    /// could change state or emit; `None` while nothing can expire.
+    /// O(pattern) for every engine but UNRESTRICTED, which is O(runs) —
+    /// the same order as its `on_tuple`.
+    fn next_deadline(&self, pat: &SeqPattern) -> Option<Timestamp>;
+
+    /// Whether the engine retains nothing (`retained() == 0`, without
+    /// counting).
+    fn is_empty(&self) -> bool;
 
     /// Tuples currently retained (the paper's history-size metric).
     fn retained(&self) -> usize;
@@ -62,8 +75,27 @@ pub trait ModeEngine: Send {
     fn save_state(&self) -> Result<StateNode>;
 
     /// Restore state saved by [`ModeEngine::save_state`] into a fresh
-    /// engine built for the same pattern.
-    fn restore_state(&mut self, state: &StateNode) -> Result<()>;
+    /// engine built for `pat`.
+    fn restore_state(&mut self, pat: &SeqPattern, state: &StateNode) -> Result<()>;
+}
+
+/// Entry half of the debug-build check of the
+/// [`ModeEngine::on_punctuation`] contract: whether `eng` reports itself
+/// due at `ts`, and its prune count. Every engine counts a prune for each
+/// state change a punctuation makes (and emits only alongside one), so
+/// an unchanged count is an unchanged engine. Release builds skip the
+/// deadline scan.
+fn contract_probe(eng: &dyn ModeEngine, pat: &SeqPattern, ts: Timestamp) -> (bool, u64) {
+    let due = cfg!(debug_assertions) && eng.next_deadline(pat).is_some_and(|d| ts > d);
+    (due, eng.prunes())
+}
+
+/// Exit half of [`contract_probe`].
+fn check_contract((due, prunes): (bool, u64), eng: &dyn ModeEngine) {
+    debug_assert!(
+        due || prunes == eng.prunes(),
+        "on_punctuation acted at or before the engine's next_deadline"
+    );
 }
 
 /// Instantiate the engine for a mode (SEQ detection).
@@ -113,7 +145,7 @@ mod ckpt_tests {
             }
             let saved = first_half.save_state().unwrap();
             let mut resumed = engine_for(mode, &pat);
-            resumed.restore_state(&saved).unwrap();
+            resumed.restore_state(&pat, &saved).unwrap();
             drop(first_half);
             for e in &history[4..] {
                 reference
@@ -147,7 +179,7 @@ mod ckpt_tests {
         let before = eng.retained();
         let saved = eng.save_state().unwrap();
         let mut resumed = Recent::new(&pat);
-        resumed.restore_state(&saved).unwrap();
+        resumed.restore_state(&pat, &saved).unwrap();
         assert_eq!(resumed.retained(), before);
         for i in 100..1100u64 {
             resumed
@@ -175,7 +207,7 @@ mod ckpt_tests {
         eng.on_tuple(&pat, 1, &t(600, 1), &mut out).unwrap();
         let saved = eng.save_state().unwrap();
         let mut resumed = Exception::new();
-        resumed.restore_state(&saved).unwrap();
+        resumed.restore_state(&pat, &saved).unwrap();
         resumed
             .on_punctuation(&pat, Timestamp::from_secs(4000), &mut out)
             .unwrap();

@@ -9,10 +9,16 @@
 //! (older) parents — exactly how the example picks `C3:t5`'s parent
 //! `C2:t3` even though `C2:t6` arrived later.
 //!
-//! History is O(pattern length) chains — the "aggressive purge" the paper
-//! credits this mode with.
+//! History is O(pattern length) chains per partition — the "aggressive
+//! purge" the paper credits this mode with. Under a window every head
+//! that can still matter carries a deadline, so a partition dies once
+//! its window has passed: a `PRECEDING` window bounds every position up
+//! to its anchor (including a final anchor, whose head is never a
+//! parent), a `FOLLOWING` window every position from its anchor on.
+//! Only heads past a mid-pattern `PRECEDING` anchor, or before a
+//! `FOLLOWING` one, live until replaced — they may complete at any time.
 
-use super::ModeEngine;
+use super::{check_contract, contract_probe, ModeEngine};
 use crate::binding::{Binding, DetectorOutput, SeqMatch};
 use crate::ckpt::{restore_binding, save_binding};
 use crate::pattern::{SeqPattern, WindowKind};
@@ -62,56 +68,60 @@ impl Recent {
             .map(|p| p.first_ts)
             .unwrap_or_else(|| binding.first().ts());
         let mut anchor_start = parent.as_ref().and_then(|p| p.anchor_start);
-        let mut deadline = None;
-        if let Some(w) = &pat.window {
-            if w.anchor == k {
-                anchor_start = Some(binding.first().ts());
-            }
-            deadline = match w.kind {
-                // Until the anchor is reached, everything must stay
-                // within d of the chain's first tuple.
-                WindowKind::Preceding if k < w.anchor => Some(first_ts + w.dur),
-                WindowKind::Following => anchor_start.map(|s| s + w.dur),
-                _ => None,
-            };
+        if pat.window.is_some_and(|w| w.anchor == k) {
+            anchor_start = Some(binding.first().ts());
         }
         ChainNode {
             binding,
             parent,
             first_ts,
             anchor_start,
-            deadline,
+            deadline: Self::deadline(pat, k, first_ts, anchor_start),
         }
     }
 
-    /// Window admissibility of binding position `k` at time `ts` given
-    /// the parent chain.
+    /// Instant past which a head at position `k` can no longer complete
+    /// in-window (`None`: it may complete at any later time).
+    fn deadline(
+        pat: &SeqPattern,
+        k: usize,
+        first_ts: Timestamp,
+        anchor_start: Option<Timestamp>,
+    ) -> Option<Timestamp> {
+        let w = pat.window.as_ref()?;
+        match w.kind {
+            // Up to the anchor, everything must stay within d of the
+            // chain's first tuple. A head at a final anchor is never a
+            // parent, and (as a trailing star) grows only within d of
+            // `first_ts`, so it expires too; past a mid-pattern anchor
+            // nothing is bounded — SEQ(A, B, C) OVER [10 s PRECEDING B]
+            // may complete with a C an hour later.
+            WindowKind::Preceding if k < w.anchor || (k == w.anchor && k == pat.len() - 1) => {
+                Some(first_ts + w.dur)
+            }
+            WindowKind::Following => anchor_start.map(|s| s + w.dur),
+            WindowKind::Preceding => None,
+        }
+    }
+
+    /// Window admissibility of binding position `k` at time `ts` onto
+    /// `chain`: the parent chain for a fresh binding, or the group's own
+    /// node when a star group grows (so a group at the anchor stays within
+    /// its own window, whatever newer chain sits in the slot before).
     fn window_ok(
         &self,
         pat: &SeqPattern,
         k: usize,
         ts: Timestamp,
-        parent: Option<&Arc<ChainNode>>,
+        chain: Option<&ChainNode>,
     ) -> bool {
         let Some(w) = &pat.window else { return true };
-        match w.kind {
-            WindowKind::Preceding => {
-                if k == w.anchor {
-                    if let Some(p) = parent {
-                        return ts.since(p.first_ts).is_some_and(|g| g <= w.dur);
-                    }
-                }
-                true
-            }
-            WindowKind::Following => {
-                if k > w.anchor {
-                    if let Some(start) = parent.and_then(|p| p.anchor_start) {
-                        return ts.since(start).is_some_and(|g| g <= w.dur);
-                    }
-                }
-                true
-            }
-        }
+        let start = match w.kind {
+            WindowKind::Preceding if k == w.anchor => chain.map(|c| c.first_ts),
+            WindowKind::Following if k >= w.anchor => chain.and_then(|c| c.anchor_start),
+            _ => None,
+        };
+        start.is_none_or(|s| ts.since(s).is_some_and(|g| g <= w.dur))
     }
 
     fn chain_to_match(node: &Arc<ChainNode>) -> SeqMatch {
@@ -139,8 +149,7 @@ impl ModeEngine for Recent {
         // fits several positions chains with *previous* state rather than
         // with itself (SEQ(A, A): the second A completes via the first,
         // then becomes the new latest[0]).
-        let candidates: Vec<usize> = pat.candidates(port).collect();
-        for &k in candidates.iter().rev() {
+        for k in pat.candidates(port).rev() {
             let elem = &pat.elements[k];
             if !matches_elem(elem, t, port)? {
                 continue;
@@ -163,18 +172,20 @@ impl ModeEngine for Recent {
                     continue;
                 }
             }
-            if !self.window_ok(pat, k, t.ts(), parent.as_ref()) {
+            if !self.window_ok(pat, k, t.ts(), parent.as_deref()) {
                 continue;
             }
             let mut grew_group = false;
             let new_node = if elem.star {
-                // Extend the current group when the gap allows (copy-on-
-                // write: snapshots held as parents elsewhere are frozen);
-                // otherwise start a fresh group against the parent chain.
+                // Extend the current group when the gap and its own
+                // window allow (copy-on-write: snapshots held as parents
+                // elsewhere are frozen); otherwise start a fresh group
+                // against the parent chain.
                 match &self.latest[k] {
                     Some(cur)
                         if t.after(cur.binding.last())
-                            && gap_ok(elem.star_gap, Some(cur.binding.last()), t) =>
+                            && gap_ok(elem.star_gap, Some(cur.binding.last()), t)
+                            && self.window_ok(pat, k, t.ts(), Some(cur)) =>
                     {
                         let mut g = cur.binding.tuples().to_vec();
                         g.push(t.clone());
@@ -214,10 +225,11 @@ impl ModeEngine for Recent {
 
     fn on_punctuation(
         &mut self,
-        _pat: &SeqPattern,
+        pat: &SeqPattern,
         ts: Timestamp,
         _out: &mut Vec<DetectorOutput>,
     ) -> Result<()> {
+        let probe = contract_probe(self, pat, ts);
         for slot in &mut self.latest {
             if slot
                 .as_ref()
@@ -227,7 +239,20 @@ impl ModeEngine for Recent {
                 self.prunes += 1;
             }
         }
+        check_contract(probe, self);
         Ok(())
+    }
+
+    fn next_deadline(&self, _pat: &SeqPattern) -> Option<Timestamp> {
+        self.latest
+            .iter()
+            .flatten()
+            .filter_map(|n| n.deadline)
+            .min()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.latest.iter().all(Option::is_none)
     }
 
     fn retained(&self) -> usize {
@@ -297,7 +322,7 @@ impl ModeEngine for Recent {
         ]))
     }
 
-    fn restore_state(&mut self, state: &StateNode) -> Result<()> {
+    fn restore_state(&mut self, pat: &SeqPattern, state: &StateNode) -> Result<()> {
         let node_items = state.item(0)?.as_list()?;
         let mut nodes: Vec<Arc<ChainNode>> = Vec::with_capacity(node_items.len());
         for (i, item) in node_items.iter().enumerate() {
@@ -338,6 +363,22 @@ impl ModeEngine for Recent {
                     .ok_or_else(|| DsmsError::ckpt("chain-slot index out of range")),
             })
             .collect::<Result<Vec<_>>>()?;
+        // Checkpoints from before final-anchor heads expired carry no
+        // deadline there; re-derive it so restored state still dies. The
+        // final head is never a parent, so replacing it unshares nothing.
+        let last = self.latest.len() - 1;
+        if let Some(head) = &mut self.latest[last] {
+            let deadline = Self::deadline(pat, last, head.first_ts, head.anchor_start);
+            if head.deadline != deadline {
+                *head = Arc::new(ChainNode {
+                    binding: head.binding.clone(),
+                    parent: head.parent.clone(),
+                    first_ts: head.first_ts,
+                    anchor_start: head.anchor_start,
+                    deadline,
+                });
+            }
+        }
         self.prunes = state.item(2)?.as_u64()?;
         Ok(())
     }
@@ -520,6 +561,62 @@ mod tests {
         eng.on_punctuation(&pat, Timestamp::from_secs(30), &mut out)
             .unwrap();
         assert_eq!(eng.retained(), 0);
+    }
+
+    /// The head at a final `PRECEDING` anchor is never a parent: it
+    /// expires with its window, so the engine empties (it used to be kept
+    /// forever, and so was its partition).
+    #[test]
+    fn final_anchor_head_expires() {
+        // SEQ(A, B) OVER [10 s PRECEDING B], and the trailing-star form.
+        for b in [Element::new(1), Element::star(1)] {
+            let pat = SeqPattern::new(
+                vec![Element::new(0), b],
+                Some(EventWindow::preceding(Duration::from_secs(10), 1)),
+                PairingMode::Recent,
+            )
+            .unwrap();
+            let mut eng = Recent::new(&pat);
+            let mut out = Vec::new();
+            eng.on_tuple(&pat, 0, &t(0, 0), &mut out).unwrap();
+            eng.on_tuple(&pat, 1, &t(4, 1), &mut out).unwrap();
+            eng.on_tuple(&pat, 1, &t(6, 2), &mut out).unwrap();
+            assert_eq!(out.len(), 2);
+            assert_eq!(eng.next_deadline(&pat), Some(Timestamp::from_secs(10)));
+            eng.on_punctuation(&pat, Timestamp::from_secs(10), &mut out)
+                .unwrap();
+            assert!(!eng.is_empty(), "ts = deadline is not past it");
+            eng.on_punctuation(&pat, Timestamp::from_secs(11), &mut out)
+                .unwrap();
+            assert!(eng.is_empty());
+            assert_eq!(eng.retained(), 0);
+            assert_eq!(eng.next_deadline(&pat), None);
+        }
+    }
+
+    /// A star group grows only within its *own* chain's window: a newer
+    /// parent chain in the slot before must not let an older group grow
+    /// past it (that emitted window-violating matches).
+    #[test]
+    fn star_group_grows_within_its_own_window() {
+        // SEQ(A, B*) OVER [10 s PRECEDING B].
+        let pat = SeqPattern::new(
+            vec![Element::new(0), Element::star(1)],
+            Some(EventWindow::preceding(Duration::from_secs(10), 1)),
+            PairingMode::Recent,
+        )
+        .unwrap();
+        let mut eng = Recent::new(&pat);
+        let mut out = Vec::new();
+        eng.on_tuple(&pat, 0, &t(0, 0), &mut out).unwrap();
+        eng.on_tuple(&pat, 1, &t(5, 1), &mut out).unwrap();
+        eng.on_tuple(&pat, 0, &t(8, 2), &mut out).unwrap();
+        eng.on_tuple(&pat, 1, &t(12, 3), &mut out).unwrap();
+        assert_eq!(out.len(), 2);
+        let m = out[1].as_match().unwrap();
+        assert!(window_satisfied(&pat.window, &m.bindings));
+        assert_eq!(m.binding(0).first().ts(), Timestamp::from_secs(8));
+        assert_eq!(m.binding(1).count(), 1, "a fresh group, not [B5, B12]");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! other three modes. Windows bound it: runs past their window deadline
 //! are purged on every punctuation.
 
-use super::ModeEngine;
+use super::{check_contract, contract_probe, ModeEngine};
 use crate::binding::DetectorOutput;
 use crate::ckpt::{restore_run, save_run};
 use crate::pattern::SeqPattern;
@@ -73,9 +73,14 @@ impl ModeEngine for Unrestricted {
                     if complete {
                         emit(pat, forked.into_match(), out);
                     } else {
-                        if forked.next_elem() == pat.len() - 1 && pat.trailing_star() {
+                        if forked.next_elem() == pat.len() - 1
+                            && pat.trailing_star()
+                            && !forked.group.is_empty()
+                        {
                             // Advance into a trailing star starts its
-                            // group — emit the first online snapshot.
+                            // group — emit the first online snapshot (not
+                            // on binding the element before it: a star
+                            // needs one tuple).
                             emit(pat, forked.snapshot_match(), out);
                         }
                         forks.push(forked);
@@ -121,11 +126,21 @@ impl ModeEngine for Unrestricted {
         ts: Timestamp,
         _out: &mut Vec<DetectorOutput>,
     ) -> Result<()> {
+        let probe = contract_probe(self, pat, ts);
         let before = self.runs.len();
         self.runs
             .retain(|r| r.deadline(pat).is_none_or(|d| ts <= d));
         self.prunes += (before - self.runs.len()) as u64;
+        check_contract(probe, self);
         Ok(())
+    }
+
+    fn next_deadline(&self, pat: &SeqPattern) -> Option<Timestamp> {
+        self.runs.iter().filter_map(|r| r.deadline(pat)).min()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.runs.is_empty()
     }
 
     fn retained(&self) -> usize {
@@ -143,7 +158,7 @@ impl ModeEngine for Unrestricted {
         ]))
     }
 
-    fn restore_state(&mut self, state: &StateNode) -> Result<()> {
+    fn restore_state(&mut self, _pat: &SeqPattern, state: &StateNode) -> Result<()> {
         self.runs = state
             .item(0)?
             .as_list()?
@@ -289,6 +304,27 @@ mod tests {
             .map(|m| m.binding(1).count())
             .collect();
         assert_eq!(counts, vec![1, 2, 3]);
+    }
+
+    /// Binding the element before a trailing star opens no group, so it
+    /// emits nothing: SEQ(A, B, C*) over A, B, C fires once, on C (it
+    /// used to fire on B too, with an empty C* binding).
+    #[test]
+    fn trailing_star_needs_one_tuple() {
+        let pat = SeqPattern::new(
+            vec![Element::new(0), Element::new(1), Element::star(2)],
+            None,
+            PairingMode::Unrestricted,
+        )
+        .unwrap();
+        let mut eng = Unrestricted::new();
+        let mut out = Vec::new();
+        eng.on_tuple(&pat, 0, &t(0, 0), &mut out).unwrap();
+        eng.on_tuple(&pat, 1, &t(1, 1), &mut out).unwrap();
+        assert!(out.is_empty());
+        eng.on_tuple(&pat, 2, &t(2, 2), &mut out).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].as_match().unwrap().binding(2).count(), 1);
     }
 
     #[test]

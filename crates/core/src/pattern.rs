@@ -196,7 +196,7 @@ impl SeqPattern {
     }
 
     /// Indexes of elements a tuple arriving on `port` could bind to.
-    pub fn candidates(&self, port: usize) -> impl Iterator<Item = usize> + '_ {
+    pub fn candidates(&self, port: usize) -> impl DoubleEndedIterator<Item = usize> + '_ {
         self.elements
             .iter()
             .enumerate()

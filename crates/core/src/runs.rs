@@ -171,8 +171,9 @@ impl Run {
                 true
             }
             WindowKind::Following => {
-                // Elements anchor..n within [anchor_start, anchor_start+d].
-                if idx > w.anchor {
+                // Elements anchor..n within [anchor_start, anchor_start+d]
+                // — including the tuples a star anchor's group absorbs.
+                if idx >= w.anchor {
                     if let Some(start) = self.anchor_start(w.anchor) {
                         return t.ts().since(start).is_some_and(|g| g <= w.dur);
                     }
@@ -462,6 +463,24 @@ mod tests {
         run.apply(&pat, Ext::Advance { idx: 1 }, &t(105, 1));
         assert!(run.classify(&pat, &t(111, 2), 2).unwrap().is_none());
         assert!(run.classify(&pat, &t(110, 2), 2).unwrap().is_some());
+    }
+
+    #[test]
+    fn star_anchor_group_stays_within_following_window() {
+        // SEQ(A, B*) OVER [10 s FOLLOWING B]: no later element closes the
+        // group, so the group itself must be bounded.
+        let pat = SeqPattern::new(
+            vec![Element::new(0), Element::star(1)],
+            Some(EventWindow::following(Duration::from_secs(10), 1)),
+            PairingMode::Unrestricted,
+        )
+        .unwrap();
+        let mut run = Run::new();
+        run.apply(&pat, Ext::Advance { idx: 0 }, &t(0, 0));
+        assert!(run.classify(&pat, &t(100, 1), 1).unwrap().is_some());
+        run.apply(&pat, Ext::Advance { idx: 1 }, &t(100, 1));
+        assert!(run.classify(&pat, &t(110, 2), 1).unwrap().is_some());
+        assert!(run.classify(&pat, &t(111, 2), 1).unwrap().is_none());
     }
 
     #[test]

@@ -157,23 +157,101 @@ fn following_window_mid_anchor() {
     assert!(m.is_empty(), "C more than 10 s after B violates the window");
 }
 
-/// Punctuation-driven purge across every mode: after quiescence beyond
-/// the window, no state survives.
+/// Punctuation-driven purge across every mode and EXCEPTION_SEQ: after
+/// quiescence beyond the window, no state survives — neither from a
+/// partial sequence nor from completed ones, including the head a
+/// completion leaves at a final `PRECEDING` anchor (the RECENT slot that
+/// used to keep every partition alive).
 #[test]
 fn quiescent_purge_matrix() {
+    let dur = Duration::from_secs(10);
+    let windows = [
+        EventWindow::preceding(dur, 2),
+        EventWindow::following(dur, 0),
+    ];
+    let configs = |w: EventWindow| {
+        let pat =
+            |mode| SeqPattern::new((0..3).map(Element::new).collect(), Some(w), mode).unwrap();
+        PairingMode::ALL
+            .map(|mode| (mode.keyword(), DetectorConfig::seq(pat(mode))))
+            .into_iter()
+            .chain([(
+                "EXCEPTION_SEQ",
+                DetectorConfig::exception(pat(PairingMode::Consecutive)),
+            )])
+    };
+    for w in windows {
+        for (label, cfg) in configs(w) {
+            // A lone partial.
+            let mut d = Detector::new(cfg).unwrap();
+            d.on_tuple(0, &t(0, 0)).unwrap();
+            d.on_tuple(1, &t(1, 1)).unwrap();
+            d.on_punctuation(Timestamp::from_secs(100)).unwrap();
+            assert_eq!(d.retained(), 0, "{label} {w:?}: partial");
+            assert_eq!(d.partitions(), 0, "{label} {w:?}: partial");
+        }
+        for (label, cfg) in configs(w) {
+            // 120 keys, each completing A, B, C, with a stray A and B
+            // left over on some, interleaved and punctuated as the
+            // engine does (watermark before every tuple).
+            let mut d = Detector::new(cfg.with_partition(vec![Expr::col(0); 3])).unwrap();
+            let mut feed: Vec<(u64, usize, i64)> = Vec::new();
+            for key in 0..120i64 {
+                let base = key as u64 * 2_000;
+                feed.extend([
+                    (base, 0, key),
+                    (base + 1_500, 1, key),
+                    (base + 3_000, 2, key),
+                ]);
+                if key % 3 == 0 {
+                    feed.push((base + 3_500, 0, key));
+                }
+                if key % 4 == 1 {
+                    feed.push((base + 4_000, 1, key));
+                }
+            }
+            feed.sort();
+            let mut matches = 0;
+            for (seq, (ms, port, key)) in feed.iter().enumerate() {
+                let ts = Timestamp::from_millis(*ms);
+                d.on_punctuation(ts).unwrap();
+                let r = Tuple::new(vec![Value::Int(*key), Value::Ts(ts)], ts, seq as u64);
+                matches += d
+                    .on_tuple(*port, &r)
+                    .unwrap()
+                    .iter()
+                    .filter(|o| o.as_match().is_some())
+                    .count();
+            }
+            assert_eq!(matches, 120, "{label} {w:?}: every key completes");
+            assert!(d.partitions() > 0, "{label} {w:?}: live before the horizon");
+            let horizon = Timestamp::from_millis(feed.last().unwrap().0) + dur + dur;
+            d.on_punctuation(horizon).unwrap();
+            assert_eq!(d.retained(), 0, "{label} {w:?}: completed");
+            assert_eq!(d.partitions(), 0, "{label} {w:?}: completed");
+        }
+    }
+}
+
+/// The counter-case: past a mid-pattern `PRECEDING` anchor nothing is
+/// bounded, so the partial must survive any quiet period —
+/// `SEQ(A, B, C) OVER [10 s PRECEDING B]` completes with a C an hour on.
+#[test]
+fn mid_anchor_partial_completes_late() {
     for mode in PairingMode::ALL {
         let pat = SeqPattern::new(
             (0..3).map(Element::new).collect(),
-            Some(EventWindow::preceding(Duration::from_secs(10), 2)),
+            Some(EventWindow::preceding(Duration::from_secs(10), 1)),
             mode,
         )
         .unwrap();
         let mut d = Detector::new(DetectorConfig::seq(pat)).unwrap();
         d.on_tuple(0, &t(0, 0)).unwrap();
-        d.on_tuple(1, &t(1, 1)).unwrap();
-        d.on_punctuation(Timestamp::from_secs(100)).unwrap();
-        assert_eq!(d.retained(), 0, "{mode}");
-        assert_eq!(d.partitions(), 0, "{mode}");
+        d.on_tuple(1, &t(5, 1)).unwrap();
+        d.on_punctuation(Timestamp::from_secs(3_600)).unwrap();
+        assert_eq!(d.partitions(), 1, "{mode}");
+        let out = d.on_tuple(2, &t(3_600, 2)).unwrap();
+        assert_eq!(out.len(), 1, "{mode}: the late C completes");
     }
 }
 

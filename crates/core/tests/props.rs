@@ -1,7 +1,9 @@
 //! Property-based tests for the temporal-operator invariants.
 
+use eslev_core::modes::{engine_for, Exception, ModeEngine};
 use eslev_core::prelude::*;
-use eslev_dsms::prelude::{Duration, Timestamp, Tuple, Value};
+use eslev_core::runs::window_satisfied;
+use eslev_dsms::prelude::{Duration, Expr, Timestamp, Tuple, Value};
 use proptest::prelude::*;
 
 /// A random joint history over `ports` streams: increasing timestamps
@@ -130,22 +132,37 @@ proptest! {
         }
     }
 
-    /// Windowed detection never emits a match violating its window, and
-    /// punctuation purges everything once the stream goes quiet.
+    /// Windowed detection never emits a match violating its window, in
+    /// any mode, and punctuation purges everything once the stream goes
+    /// quiet — for windows that bound every element: `PRECEDING` the last
+    /// one, `FOLLOWING` the first. The feed carries no punctuations until
+    /// the horizon, so `on_tuple` alone must enforce the window.
     #[test]
-    fn windows_are_respected(feed in history(2, 60), dur_secs in 1u64..20) {
+    fn windows_are_respected(
+        feed in history(2, 60),
+        dur_secs in 1u64..20,
+        mode_idx in 0usize..4,
+        following in any::<bool>(),
+        star in 0usize..3,
+    ) {
         let dur = Duration::from_secs(dur_secs);
-        let pat = SeqPattern::new(
-            vec![Element::new(0), Element::new(1)],
-            Some(EventWindow::preceding(dur, 1)),
-            PairingMode::Unrestricted,
-        )
-        .unwrap();
-        let mut d = Detector::new(DetectorConfig::seq(pat)).unwrap();
+        let window = if following {
+            EventWindow::following(dur, 0)
+        } else {
+            EventWindow::preceding(dur, 1)
+        };
+        // No star, a star first, or a star last.
+        let mut elements = vec![Element::new(0), Element::new(1)];
+        if star > 0 {
+            elements[star - 1] = Element::star(star - 1);
+        }
+        let pat = SeqPattern::new(elements, Some(window), PairingMode::ALL[mode_idx]).unwrap();
+        let mut d = Detector::new(DetectorConfig::seq(pat.clone())).unwrap();
         for (port, t) in &feed {
             for o in d.on_tuple(*port, t).unwrap() {
                 if let DetectorOutput::Match(m) = o {
                     prop_assert!(m.span() <= dur, "match span {} > window {dur}", m.span());
+                    prop_assert!(window_satisfied(&pat.window, &m.bindings), "{m}");
                 }
             }
         }
@@ -153,6 +170,33 @@ proptest! {
             + dur + Duration::from_secs(1);
         d.on_punctuation(horizon).unwrap();
         prop_assert_eq!(d.retained(), 0);
+        prop_assert_eq!(d.partitions(), 0);
+    }
+
+    /// A trailing star at a `FOLLOWING` anchor: no later element closes
+    /// the group, so every tuple it absorbs must itself fall within the
+    /// window — again with no punctuation to purge the run in time.
+    #[test]
+    fn trailing_star_anchor_stays_in_window(
+        feed in history(2, 60),
+        dur_secs in 1u64..20,
+        mode_idx in 0usize..4,
+    ) {
+        let window = EventWindow::following(Duration::from_secs(dur_secs), 1);
+        let pat = SeqPattern::new(
+            vec![Element::new(0), Element::star(1)],
+            Some(window),
+            PairingMode::ALL[mode_idx],
+        )
+        .unwrap();
+        let mut d = Detector::new(DetectorConfig::seq(pat.clone())).unwrap();
+        for (port, t) in &feed {
+            for o in d.on_tuple(*port, t).unwrap() {
+                if let DetectorOutput::Match(m) = o {
+                    prop_assert!(window_satisfied(&pat.window, &m.bindings), "{m}");
+                }
+            }
+        }
     }
 
     /// Star groups obey their gap constraint and longest-match: within a
@@ -261,5 +305,196 @@ proptest! {
         let mut want = reference_unrestricted(&feed, 3);
         want.sort();
         prop_assert_eq!(got, want);
+    }
+}
+
+/// The detector's lifecycle before the deadline index, rewritten on the
+/// public [`ModeEngine`] API as a reference: one engine per key in
+/// creation order, every engine punctuated on every watermark, and the
+/// partitions left empty swept after each punctuation.
+struct Walk {
+    pattern: SeqPattern,
+    kind: DetectKind,
+    parts: Vec<(i64, Box<dyn ModeEngine>)>,
+    matches: u64,
+    exceptions: u64,
+    created: u64,
+    prunes_carry: u64,
+}
+
+impl Walk {
+    fn new(pattern: SeqPattern, kind: DetectKind) -> Walk {
+        Walk {
+            pattern,
+            kind,
+            parts: Vec::new(),
+            matches: 0,
+            exceptions: 0,
+            created: 0,
+            prunes_carry: 0,
+        }
+    }
+
+    fn on_tuple(&mut self, port: usize, t: &Tuple, key: i64) -> Vec<DetectorOutput> {
+        let i = match self.parts.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                self.created += 1;
+                let engine: Box<dyn ModeEngine> = match self.kind {
+                    DetectKind::Seq => engine_for(self.pattern.mode, &self.pattern),
+                    DetectKind::ExceptionSeq => Box::new(Exception::new()),
+                };
+                self.parts.push((key, engine));
+                self.parts.len() - 1
+            }
+        };
+        let mut raw = Vec::new();
+        self.parts[i]
+            .1
+            .on_tuple(&self.pattern, port, t, &mut raw)
+            .unwrap();
+        self.keep(raw)
+    }
+
+    fn on_punctuation(&mut self, ts: Timestamp) -> Vec<DetectorOutput> {
+        let mut raw = Vec::new();
+        for (_, e) in &mut self.parts {
+            e.on_punctuation(&self.pattern, ts, &mut raw).unwrap();
+        }
+        let carry = &mut self.prunes_carry;
+        self.parts.retain(|(_, e)| {
+            let live = e.retained() > 0;
+            if !live {
+                *carry += e.prunes();
+            }
+            live
+        });
+        self.keep(raw)
+    }
+
+    fn keep(&mut self, raw: Vec<DetectorOutput>) -> Vec<DetectorOutput> {
+        raw.into_iter()
+            .filter(|o| match o {
+                DetectorOutput::Match(_) => {
+                    self.matches += 1;
+                    true
+                }
+                DetectorOutput::Exception(_) => {
+                    let keep = self.kind == DetectKind::ExceptionSeq;
+                    self.exceptions += u64::from(keep);
+                    keep
+                }
+            })
+            .collect()
+    }
+
+    fn counters(&self) -> [u64; 6] {
+        [
+            self.matches,
+            self.exceptions,
+            self.created,
+            self.prunes_carry + self.parts.iter().map(|(_, e)| e.prunes()).sum::<u64>(),
+            self.parts.iter().map(|(_, e)| e.retained() as u64).sum(),
+            self.parts.len() as u64,
+        ]
+    }
+}
+
+fn counters(d: &Detector) -> [u64; 6] {
+    [
+        d.matches_emitted(),
+        d.exceptions_emitted(),
+        d.partitions_created(),
+        d.prunes(),
+        d.retained() as u64,
+        d.partitions() as u64,
+    ]
+}
+
+/// splitmix64: a scenario is a pure function of its seed.
+struct Mix(u64);
+
+impl Mix {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+/// 2–4 elements, at most one star, any mode or EXCEPTION_SEQ, and no
+/// window or a `PRECEDING`/`FOLLOWING` one at a random anchor.
+fn random_pattern(rng: &mut Mix) -> (SeqPattern, DetectKind) {
+    let n = 2 + rng.below(3) as usize;
+    let mut elements: Vec<Element> = (0..n).map(Element::new).collect();
+    if rng.below(2) == 0 {
+        let s = rng.below(n as u64) as usize;
+        elements[s] = Element::star(s);
+    }
+    let dur = Duration::from_secs(1 + rng.below(20));
+    let anchor = rng.below(n as u64) as usize;
+    let window = match rng.below(5) {
+        0 => None,
+        1 | 2 => Some(EventWindow::preceding(dur, anchor)),
+        _ => Some(EventWindow::following(dur, anchor)),
+    };
+    let (mode, kind) = match rng.below(5) {
+        4 => (PairingMode::Consecutive, DetectKind::ExceptionSeq),
+        m => (PairingMode::ALL[m as usize], DetectKind::Seq),
+    };
+    (SeqPattern::new(elements, window, mode).unwrap(), kind)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The deadline index is the walk, minus the partitions that are not
+    /// due: over random patterns, 1–50 keys, timestamp ties, runs of
+    /// heartbeat-only punctuations and a save/restore at a random cut, the
+    /// detector and the reference emit the same outputs in the same order
+    /// and agree on every counter after every step.
+    #[test]
+    fn deadline_index_equals_walk(seed in any::<u64>()) {
+        let mut rng = Mix(seed);
+        let (pattern, kind) = random_pattern(&mut rng);
+        let keys = 1 + rng.below(50) as i64;
+        let steps = rng.below(400) as usize;
+        let cut = rng.below(steps as u64 + 1) as usize;
+        let config = || DetectorConfig {
+            pattern: pattern.clone(),
+            kind,
+            partition: Some(vec![Expr::col(0); pattern.num_ports()]),
+            filter: None,
+        };
+        let mut d = Detector::new(config()).unwrap();
+        let mut walk = Walk::new(pattern.clone(), kind);
+        let mut now = 0u64;
+        for step in 0..steps {
+            if step == cut {
+                let saved = d.save_state().unwrap();
+                d = Detector::new(config()).unwrap();
+                d.restore_state(&saved).unwrap();
+            }
+            if rng.below(8) == 0 {
+                // A run of heartbeats: time passes with no readings.
+                for _ in 0..1 + rng.below(4) {
+                    now += rng.below(8_000_000);
+                    let ts = Timestamp::from_micros(now);
+                    prop_assert_eq!(d.on_punctuation(ts).unwrap(), walk.on_punctuation(ts));
+                }
+            } else {
+                // Ties are common: half of the gaps are zero.
+                now += rng.below(2) * rng.below(3_000_000);
+                let ts = Timestamp::from_micros(now);
+                let key = rng.below(keys as u64) as i64;
+                let port = rng.below(pattern.num_ports() as u64) as usize;
+                let t = Tuple::new(vec![Value::Int(key), Value::Ts(ts)], ts, step as u64);
+                prop_assert_eq!(d.on_punctuation(ts).unwrap(), walk.on_punctuation(ts));
+                prop_assert_eq!(d.on_tuple(port, &t).unwrap(), walk.on_tuple(port, &t, key));
+            }
+            prop_assert_eq!(counters(&d), walk.counters(), "step {}", step);
+        }
     }
 }

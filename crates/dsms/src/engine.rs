@@ -983,7 +983,7 @@ impl Engine {
     /// per-tuple watermark schedule.
     fn ingest(&mut self, stream: &str, mut group: Vec<(Vec<Value>, Option<u64>)>) -> Result<()> {
         let batched = !self.needs_per_tuple_watermarks();
-        let max = self.ingest_group(stream, &mut group, batched)?;
+        let (max, ingested) = self.ingest_group(stream, &mut group, batched);
         if batched && self.auto_watermark {
             self.advance_to(max)?;
         }
@@ -991,35 +991,41 @@ impl Engine {
         // produced no output and is discarded rather than left to
         // inflate a later emission's measurement.
         self.lat_sample = None;
-        Ok(())
+        ingested
     }
 
     /// Validate and deliver one stream's rows. In batched mode the whole
     /// group is dispatched as a single batch and the caller issues one
-    /// trailing watermark; the returned timestamp is the newest delivered
-    /// event time (`ZERO` when the per-tuple path already advanced).
+    /// trailing watermark at the returned newest delivered event time
+    /// (`ZERO` when the per-tuple path already advanced). A refused row
+    /// ends the group: the rows before it are still delivered, as a loop
+    /// of [`Engine::push`] calls would have, and its error is returned
+    /// beside that time.
     fn ingest_group(
         &mut self,
         stream: &str,
         group: &mut Vec<(Vec<Value>, Option<u64>)>,
         batched: bool,
-    ) -> Result<Timestamp> {
+    ) -> (Timestamp, Result<()>) {
         let lower = stream.to_ascii_lowercase();
-        let entry = self
-            .streams
-            .get_mut(&lower)
-            .ok_or_else(|| DsmsError::unknown(format!("stream `{stream}`")))?;
+        let Some(entry) = self.streams.get_mut(&lower) else {
+            let e = DsmsError::unknown(format!("stream `{stream}`"));
+            return (Timestamp::ZERO, Err(e));
+        };
         if !batched || entry.reorder.is_some() {
             // Exact schedule: watermark-before-tuple for every row
             // (punctuation-sensitive queries), and the disorder buffer's
             // own release discipline. `push_impl` advances internally.
             for (values, seq) in group.drain(..) {
-                self.push_impl(stream, values, seq)?;
+                if let Err(e) = self.push_impl(stream, values, seq) {
+                    return (Timestamp::ZERO, Err(e));
+                }
             }
-            return Ok(Timestamp::ZERO);
+            return (Timestamp::ZERO, Ok(()));
         }
         let mut batch = Vec::with_capacity(group.len());
-        let mut max = Timestamp::ZERO;
+        let mut newest = Timestamp::ZERO;
+        let mut refused = None;
         for (mut values, seq) in group.drain(..) {
             let seqno = seq.unwrap_or(self.next_seq);
             let ts = match Tuple::validate_against(&entry.schema, &values) {
@@ -1034,7 +1040,8 @@ impl Engine {
                         RejectReason::Malformed,
                         &e,
                     );
-                    return Err(e);
+                    refused = Some(e);
+                    break;
                 }
             };
             // With the columnar path on, interning moves from ingest to
@@ -1066,10 +1073,11 @@ impl Engine {
                     RejectReason::Late,
                     &e,
                 );
-                return Err(e);
+                refused = Some(e);
+                break;
             }
             entry.last_ts = t.ts();
-            max = max.max(t.ts());
+            newest = newest.max(t.ts());
             if seqno & WALL_SAMPLE_MASK == 0 {
                 self.lat_sample = Some(std::time::Instant::now());
                 self.trace.record(|| TraceKind::TupleAdmitted {
@@ -1079,10 +1087,14 @@ impl Engine {
             }
             batch.push(t);
         }
-        entry.pushed += batch.len() as u64;
-        entry.pushed_ctr.add(batch.len() as u64);
-        self.dispatch_batch(lower, batch, Deliver::All)?;
-        Ok(max)
+        if refused.is_none() || !batch.is_empty() {
+            entry.pushed += batch.len() as u64;
+            entry.pushed_ctr.add(batch.len() as u64);
+            if let Err(e) = self.dispatch_batch(lower, batch, Deliver::All) {
+                return (Timestamp::ZERO, Err(e));
+            }
+        }
+        (newest, refused.map_or(Ok(()), Err))
     }
 
     fn push_impl(
@@ -1270,14 +1282,17 @@ impl Engine {
     /// watermark schedule ([`Engine::needs_per_tuple_watermarks`]) — the
     /// auto-watermarks of the whole call coalesce into a single trailing
     /// punctuation. Query output is byte-identical to pushing the rows
-    /// one at a time; on a validation error mid-batch, the failing row's
-    /// group is dropped whole (earlier groups are already delivered).
+    /// one at a time, including on a refused row: the rows before it are
+    /// delivered and watermarked, the rows after it are not, and its error
+    /// is returned — as a loop of [`Engine::push`] calls stopping at the
+    /// first error would.
     pub fn push_batch(
         &mut self,
         rows: impl IntoIterator<Item = (String, Vec<Value>)>,
     ) -> Result<()> {
         let batched = !self.needs_per_tuple_watermarks();
         let mut max = Timestamp::ZERO;
+        let mut ingested = Ok(());
         let mut it = rows.into_iter().peekable();
         let mut group: Vec<(Vec<Value>, Option<u64>)> = Vec::new();
         while let Some((stream, values)) = it.next() {
@@ -1290,12 +1305,17 @@ impl Engine {
                     break;
                 }
             }
-            max = max.max(self.ingest_group(&stream, &mut group, batched)?);
+            let newest;
+            (newest, ingested) = self.ingest_group(&stream, &mut group, batched);
+            max = max.max(newest);
+            if ingested.is_err() {
+                break;
+            }
         }
         if batched && self.auto_watermark {
             self.advance_to(max)?;
         }
-        Ok(())
+        ingested
     }
 
     /// Push a whole batch into *one* stream (same validation and
