@@ -36,13 +36,7 @@
 //! 1/2/4/8 workers, batch sizes 1 and 64, reporting the sampled
 //! p50/p90/p99 tuple latency (1 in 64 admitted tuples is stamped).
 //! With `--trace <path>` it additionally writes a chrome://tracing JSON
-//! dump of a flight-recorded E1 run.
-//!
-//! With `--columnar` the harness runs the C1 columnar sweep — E1/E6/E10
-//! replayed down the row path and the SoA columnar batch path at batch
-//! sizes 1 and 64, reporting feed-phase tuples/sec and (via the
-//! counting-allocator hook) allocations per tuple — and adds a columnar
-//! arm to the B1 and R1 tables. `--help` prints the full flag list.
+//! dump of a flight-recorded E1 run. `--help` prints the full flag list.
 //!
 //! The JSON export carries a `build` header (git revision, rustc
 //! version, sweep configuration) so numbers are comparable across PRs.
@@ -53,12 +47,6 @@ use eslev_core::prelude::PairingMode;
 use eslev_dsms::prelude::Representation;
 use std::fmt::Write as _;
 use std::time::Instant;
-
-// Counting-allocator hook for the C1 allocs/tuple column: pass-through
-// (one relaxed load per allocation) except inside a
-// `count_alloc::measure` window.
-#[global_allocator]
-static ALLOCATOR: eslev_bench::count_alloc::CountingAlloc = eslev_bench::count_alloc::CountingAlloc;
 
 fn timed<T>(f: impl Fn() -> T, reps: usize) -> (T, f64) {
     let mut best = f64::INFINITY;
@@ -151,8 +139,6 @@ struct Args {
     /// Run the O1 out-of-order sweep with this (seed, delay bound in
     /// seconds).
     disorder: Option<(u64, u64)>,
-    /// Run the C1 columnar sweep and add the columnar arm to B1/R1.
-    columnar: bool,
 }
 
 /// The full usage screen — printed verbatim by `--help` (exit 0) and
@@ -187,9 +173,6 @@ EXPERIMENTS.md. Optional flags add sweeps or exports:
                       O1 out-of-order sweep: perturb feeds by up to
                       <delay_secs> (default 2) and replay through the
                       reorder buffer
-  --columnar          C1 columnar sweep: E1/E6/E10 row vs columnar at
-                      batch 1 and 64 (tuples/sec and allocs/tuple),
-                      plus a columnar arm in the B1 and R1 tables
   --help              print this screen and exit
 ";
 
@@ -208,7 +191,6 @@ fn parse_args() -> Args {
     let mut trace_path = None;
     let mut multi = None;
     let mut disorder = None;
-    let mut columnar = false;
     // The B1 ingestion sweep always includes size 1 as the baseline.
     let mut batches = vec![1, 8, 64, 512];
     let mut args = std::env::args().skip(1);
@@ -280,7 +262,6 @@ fn parse_args() -> Args {
                     ),
                 }
             }
-            "--columnar" => columnar = true,
             other => bad(&format!("unknown argument: {other}")),
         }
     }
@@ -293,7 +274,6 @@ fn parse_args() -> Args {
         trace_path,
         multi,
         disorder,
-        columnar,
     }
 }
 
@@ -378,11 +358,7 @@ fn main() {
 
     // ------------------------------------------------------------- B1
     println!("## B1 — batched ingestion sweep (E1 feed via push_batch)\n");
-    let mut headers = vec!["batch", "raw", "cleaned", "kreads/s", "vs_batch_1"];
-    if args.columnar {
-        headers.extend(["col_kreads/s", "col_vs_row"]);
-    }
-    let mut t = TextTable::new(&headers);
+    let mut t = TextTable::new(&["batch", "raw", "cleaned", "kreads/s", "vs_batch_1"]);
     let mut rows = Vec::new();
     let mut baseline_kps = None;
     // Interleave reps across batch sizes (rather than finishing one
@@ -390,70 +366,35 @@ fn main() {
     // every size equally; report best-of-7 feed-phase time per size.
     let mut best: Vec<Option<(eslev_bench::experiments::E1Row, f64)>> =
         vec![None; batch_sizes.len()];
-    let mut best_col: Vec<Option<(eslev_bench::experiments::E1Row, f64)>> =
-        vec![None; batch_sizes.len()];
     for _ in 0..7 {
         for (i, &b) in batch_sizes.iter().enumerate() {
             let cur = e1_dedup_batched(0.5, 20_000, b);
             if best[i].as_ref().is_none_or(|prev| cur.1 < prev.1) {
                 best[i] = Some(cur);
             }
-            if args.columnar {
-                let cur = e1_dedup_batched_on(0.5, 20_000, b, true);
-                if best_col[i].as_ref().is_none_or(|prev| cur.1 < prev.1) {
-                    best_col[i] = Some(cur);
-                }
-            }
         }
     }
-    let mut columnar_batch64_multiple = None;
     for (i, &b) in batch_sizes.iter().enumerate() {
         let (row, secs) = best[i].clone().expect("seven reps");
         let kps = row.raw as f64 / secs / 1e3;
         let base = *baseline_kps.get_or_insert(kps);
-        let mut cells = vec![
+        t.row(vec![
             b.to_string(),
             row.raw.to_string(),
             row.cleaned.to_string(),
             format!("{kps:.0}"),
             format!("{:.2}x", kps / base),
-        ];
-        let mut fields = vec![
+        ]);
+        rows.push(obj(&[
             ("batch", b.to_string()),
             ("raw", row.raw.to_string()),
             ("cleaned", row.cleaned.to_string()),
             ("kreads_per_sec", jf(kps)),
             ("speedup_vs_batch_1", jf(kps / base)),
-        ];
-        if args.columnar {
-            let (crow, csecs) = best_col[i].clone().expect("seven reps");
-            // The columnar arm must stay a pure execution strategy.
-            assert_eq!(
-                crow.cleaned, row.cleaned,
-                "columnar B1 arm diverged from the row output"
-            );
-            let ckps = crow.raw as f64 / csecs / 1e3;
-            let multiple = ckps / kps;
-            if b == 64 {
-                columnar_batch64_multiple = Some(multiple);
-            }
-            cells.push(format!("{ckps:.0}"));
-            cells.push(format!("{multiple:.2}x"));
-            fields.push(("columnar_kreads_per_sec", jf(ckps)));
-            fields.push(("columnar_vs_row", jf(multiple)));
-        }
-        t.row(cells);
-        rows.push(obj(&fields));
+        ]));
     }
     println!("{}", t.to_markdown());
-    if let Some(m) = columnar_batch64_multiple {
-        println!("columnar vs row at batch 64: {m:.2}x the row feed rate\n");
-    }
-    let mut b1_fields = vec![("rows", arr(rows))];
-    if let Some(m) = columnar_batch64_multiple {
-        b1_fields.push(("columnar_vs_row_batch64", jf(m)));
-    }
-    sections.push(("B1", obj(&b1_fields)));
+    sections.push(("B1", obj(&[("rows", arr(rows))])));
 
     // ------------------------------------------------------------- E2
     println!("## E2 — location tracking (Example 2)\n");
@@ -841,8 +782,9 @@ fn main() {
             "interner_bytes",
         ]);
         let mut rows = Vec::new();
-        {
-            let mut add = |row: eslev_bench::experiments::ReprSweepRow, secs: f64| {
+        for w in &workloads {
+            for rep in [Representation::Seed, Representation::Interned] {
+                let (row, secs) = timed(|| run_repr_sweep(w, rep), 3);
                 t.row(vec![
                     row.experiment.to_string(),
                     row.representation.to_string(),
@@ -864,93 +806,10 @@ fn main() {
                     ("interner_entries", row.interner_entries.to_string()),
                     ("interner_bytes", row.interner_bytes.to_string()),
                 ]));
-            };
-            for w in &workloads {
-                for rep in [Representation::Seed, Representation::Interned] {
-                    let (row, secs) = timed(|| run_repr_sweep(w, rep), 3);
-                    add(row, secs);
-                }
-                if args.columnar {
-                    // Third arm: interned + columnar dispatch, fed
-                    // identically (row-at-a-time), so the delta against
-                    // plain interned is pure dispatch cost at batch 1.
-                    let (row, secs) = timed(|| run_repr_sweep_columnar(w), 3);
-                    add(row, secs);
-                }
             }
         }
         println!("{}", t.to_markdown());
         sections.push(("R1", obj(&[("rows", arr(rows))])));
-    }
-
-    // ----------------------------------------------------- columnar C1
-    if args.columnar {
-        println!("## C1 — columnar (SoA) batch path: row vs columnar\n");
-        let workloads = [
-            shard_workload_e1(4_000),
-            shard_workload_e6(60),
-            shard_workload_e10(16, 12, 4),
-        ];
-        let mut t = TextTable::new(&[
-            "experiment",
-            "path",
-            "batch",
-            "rows_in",
-            "rows_out",
-            "ktuples/s",
-            "allocs/tuple",
-        ]);
-        let mut rows = Vec::new();
-        for w in &workloads {
-            for batch in [1usize, 64] {
-                let mut row_out = None;
-                for columnar in [false, true] {
-                    // Best-of-3 on the feed-phase clock (setup, planning
-                    // and chunk materialization excluded by the runner).
-                    let mut best: Option<eslev_bench::experiments::ColumnarSweepRow> = None;
-                    for _ in 0..3 {
-                        let row = run_columnar_sweep(w, batch, columnar);
-                        if best.as_ref().is_none_or(|p| row.feed_secs < p.feed_secs) {
-                            best = Some(row);
-                        }
-                    }
-                    let row = best.expect("three reps");
-                    match row_out {
-                        None => row_out = Some(row.rows_out),
-                        Some(expect) => assert_eq!(
-                            row.rows_out, expect,
-                            "C1 columnar arm diverged from the row output"
-                        ),
-                    }
-                    let kps = row.rows_in as f64 / row.feed_secs / 1e3;
-                    t.row(vec![
-                        row.experiment.to_string(),
-                        row.path.to_string(),
-                        batch.to_string(),
-                        row.rows_in.to_string(),
-                        row.rows_out.to_string(),
-                        format!("{kps:.0}"),
-                        row.allocs_per_tuple
-                            .map_or("n/a".to_string(), |a| format!("{a:.2}")),
-                    ]);
-                    rows.push(obj(&[
-                        ("experiment", jstr(row.experiment)),
-                        ("path", jstr(row.path)),
-                        ("batch", batch.to_string()),
-                        ("rows_in", row.rows_in.to_string()),
-                        ("rows_out", row.rows_out.to_string()),
-                        ("feed_secs", jf(row.feed_secs)),
-                        ("tuples_per_sec", jf(row.rows_in as f64 / row.feed_secs)),
-                        (
-                            "allocs_per_tuple",
-                            row.allocs_per_tuple.map_or("null".to_string(), jf),
-                        ),
-                    ]));
-                }
-            }
-        }
-        println!("{}", t.to_markdown());
-        sections.push(("C1", obj(&[("rows", arr(rows))])));
     }
 
     // --------------------------------------------------- shard scaling
@@ -1373,7 +1232,6 @@ fn main() {
                     ])
                 }),
             ),
-            ("columnar", args.columnar.to_string()),
         ]);
         let doc = obj(&[
             ("generated", jstr(&today_utc())),

@@ -1,5 +1,4 @@
-//! A counting global allocator shared by the alloc-budget tests and
-//! the harness's columnar sweep.
+//! A counting global allocator for the alloc-budget tests.
 //!
 //! Each binary that wants counts declares its own hook:
 //!
@@ -10,13 +9,13 @@
 //! ```
 //!
 //! Counting is gated on [`COUNTING`] so setup/teardown allocations are
-//! free; only the window inside [`measure`] is charged. Deallocations
-//! are deliberately not counted — the budget is about allocator
-//! round-trips on the hot path, and frees mirror the allocs.
+//! free; only the window a test opens by setting it is charged.
+//! Deallocations are deliberately not counted — the budget is about
+//! allocator round-trips on the hot path, and frees mirror the allocs.
 //!
-//! The counter is process-global, so tests that use [`measure`] must
-//! not run concurrently with each other; keep one measuring `#[test]`
-//! per test process (each integration-test *file* is its own process).
+//! The counter is process-global, so counting tests must not run
+//! concurrently with each other; keep one measuring `#[test]` per test
+//! process (each integration-test *file* is its own process).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,22 +57,4 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
-}
-
-/// Run `f` with counting enabled and return its result plus the number
-/// of allocations the window saw, or `None` for the count if no
-/// [`CountingAlloc`] hook is installed in this process (a missing hook
-/// would otherwise read as "zero allocations").
-pub fn measure<T>(f: impl FnOnce() -> T) -> (T, Option<u64>) {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    // Probe: this Box must be seen by the hook if one is installed.
-    let probe = Box::new(0u64);
-    std::hint::black_box(&probe);
-    let installed = ALLOCS.load(Ordering::SeqCst) > 0;
-    drop(probe);
-    let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    let n = ALLOCS.load(Ordering::SeqCst).saturating_sub(1); // minus the probe
-    (out, installed.then_some(n))
 }

@@ -73,20 +73,7 @@ pub fn e1_dedup(dup_prob: f64, presences: usize) -> E1Row {
 /// planning and row materialization happen before the clock starts —
 /// B1 measures ingestion, not setup.
 pub fn e1_dedup_batched(dup_prob: f64, presences: usize, batch: usize) -> (E1Row, f64) {
-    e1_dedup_batched_on(dup_prob, presences, batch, false)
-}
-
-/// [`e1_dedup_batched`] with an explicit execution path: `columnar`
-/// turns the SoA batch path on before the timed feed, so B1 can report
-/// row vs columnar ingestion on otherwise identical engines.
-pub fn e1_dedup_batched_on(
-    dup_prob: f64,
-    presences: usize,
-    batch: usize,
-    columnar: bool,
-) -> (E1Row, f64) {
     let (mut engine, readings) = e1_setup(dup_prob, presences);
-    engine.set_columnar(columnar);
     let raw = readings.len();
     let mut rows: std::collections::VecDeque<Vec<Value>> =
         readings.iter().map(|r| r.to_values()).collect();
@@ -1285,89 +1272,6 @@ pub fn run_repr_sweep(w: &ShardWorkload, rep: Representation) -> ReprSweepRow {
         state_key_bytes: engine.state_key_bytes(),
         interner_entries,
         interner_bytes,
-    }
-}
-
-/// Like [`run_repr_sweep`] under the interned representation, but with
-/// the columnar batch path enabled — the R1 table's third arm. The
-/// feed is still row-at-a-time (`Engine::push`), so any difference
-/// against the plain interned arm is pure dispatch overhead/benefit at
-/// batch size 1; the batched win is C1's job.
-pub fn run_repr_sweep_columnar(w: &ShardWorkload) -> ReprSweepRow {
-    let mut engine = Engine::new();
-    engine.set_columnar(true);
-    execute_script(&mut engine, &w.ddl).expect("static script plans");
-    let q = execute(&mut engine, &w.query).expect("static query plans");
-    let collector = q.collector().expect("collected query").clone();
-    let start = std::time::Instant::now();
-    for (stream, values) in &w.feed {
-        engine.push(stream, values.clone()).expect("feed");
-    }
-    let feed_secs = start.elapsed().as_secs_f64();
-    let (interner_entries, interner_bytes) = engine.interner_stats();
-    ReprSweepRow {
-        experiment: w.experiment,
-        representation: "interned+col",
-        rows_in: w.feed.len(),
-        rows_out: collector.take().len(),
-        feed_secs,
-        state_key_bytes: engine.state_key_bytes(),
-        interner_entries,
-        interner_bytes,
-    }
-}
-
-/// One cell of the C1 columnar sweep: a paper workload replayed at one
-/// batch size down one execution path.
-#[derive(Debug, Clone)]
-pub struct ColumnarSweepRow {
-    /// Experiment label (`E1` / `E6` / `E10`).
-    pub experiment: &'static str,
-    /// Execution path label (`row` / `columnar`).
-    pub path: &'static str,
-    /// Feed batch size.
-    pub batch: usize,
-    /// Tuples fed.
-    pub rows_in: usize,
-    /// Tuples the collected query produced.
-    pub rows_out: usize,
-    /// Feed-phase wall time in seconds (planning, workload generation
-    /// and chunk materialization excluded).
-    pub feed_secs: f64,
-    /// Allocator round-trips per fed tuple during the feed phase, if
-    /// the measuring binary installed
-    /// [`count_alloc::CountingAlloc`](crate::count_alloc::CountingAlloc)
-    /// as its global allocator (`None` otherwise).
-    pub allocs_per_tuple: Option<f64>,
-}
-
-/// Replay `w` through one engine in `batch`-sized [`Engine::push_batch`]
-/// chunks, on the row or the columnar path. The chunks are materialized
-/// as owned rows *before* the clock starts so the timed (and
-/// alloc-counted) window sees engine work only, not feed cloning.
-pub fn run_columnar_sweep(w: &ShardWorkload, batch: usize, columnar: bool) -> ColumnarSweepRow {
-    let mut engine = Engine::new();
-    engine.set_columnar(columnar);
-    execute_script(&mut engine, &w.ddl).expect("static script plans");
-    let q = execute(&mut engine, &w.query).expect("static query plans");
-    let collector = q.collector().expect("collected query").clone();
-    let mut chunks: Vec<Vec<(String, Vec<Value>)>> =
-        w.feed.chunks(batch.max(1)).map(|c| c.to_vec()).collect();
-    let start = std::time::Instant::now();
-    let ((), allocs) = crate::count_alloc::measure(|| {
-        for chunk in chunks.drain(..) {
-            engine.push_batch(chunk).expect("feed");
-        }
-    });
-    let feed_secs = start.elapsed().as_secs_f64();
-    ColumnarSweepRow {
-        experiment: w.experiment,
-        path: if columnar { "columnar" } else { "row" },
-        batch,
-        rows_in: w.feed.len(),
-        rows_out: collector.take().len(),
-        feed_secs,
-        allocs_per_tuple: allocs.map(|a| a as f64 / w.feed.len().max(1) as f64),
     }
 }
 

@@ -19,7 +19,6 @@
 //! even when no tuple arrives.
 
 use crate::agg::AggregateRegistry;
-use crate::batch::ColumnBatch;
 use crate::ckpt::{EngineCheckpoint, StateNode};
 use crate::error::{DsmsError, Result};
 use crate::expr::FunctionRegistry;
@@ -307,9 +306,6 @@ pub struct Engine {
     interner: InternerRef,
     /// Key codec handed to operators at registration.
     codec: KeyCodec,
-    /// Whether the batch path hands columnar batches to capable
-    /// operators (effective only under the interned representation).
-    columnar: bool,
     /// Shared instrument registry (cloneable; see [`Engine::registry`]).
     obs: Registry,
     /// Punctuations delivered via [`Engine::advance_to`].
@@ -378,7 +374,6 @@ impl Engine {
             representation,
             interner,
             codec,
-            columnar: false,
             obs,
             punctuations,
             rejected_tuples,
@@ -416,28 +411,6 @@ impl Engine {
     /// The engine's row representation.
     pub fn representation(&self) -> Representation {
         self.representation
-    }
-
-    /// Opt the batch path into columnar (SoA) execution: batches to
-    /// columnar-capable operators are converted to [`ColumnBatch`]es
-    /// once per batch and run through their kernels. Only effective
-    /// under the interned representation — the seed representation has
-    /// no symbol columns and silently stays on the row path.
-    pub fn set_columnar(&mut self, on: bool) {
-        self.columnar = on;
-    }
-
-    /// Whether columnar execution is *effective*: requested via
-    /// [`Engine::set_columnar`] and running the interned representation.
-    pub fn columnar(&self) -> bool {
-        self.columnar && self.representation == Representation::Interned
-    }
-
-    /// The key codec operators are bound with at registration — the
-    /// planner uses it to bind freshly lowered plans when rendering
-    /// EXPLAIN output.
-    pub fn key_codec(&self) -> &KeyCodec {
-        &self.codec
     }
 
     /// Dictionary size: `(entries, content bytes)` of the engine's
@@ -984,14 +957,22 @@ impl Engine {
     fn ingest(&mut self, stream: &str, mut group: Vec<(Vec<Value>, Option<u64>)>) -> Result<()> {
         let batched = !self.needs_per_tuple_watermarks();
         let (max, ingested) = self.ingest_group(stream, &mut group, batched);
-        if batched && self.auto_watermark {
-            self.advance_to(max)?;
-        }
-        // The sampled admission's cascade is over; a stamp still pending
-        // produced no output and is discarded rather than left to
-        // inflate a later emission's measurement.
-        self.lat_sample = None;
+        self.finish_ingest(batched, max)?;
         ingested
+    }
+
+    /// Tail of every ingest call: issue the coalesced trailing watermark
+    /// at `max` when the batch schedule ran, then discard a latency stamp
+    /// still pending — its admission's cascade is over and produced no
+    /// output, so it must not inflate a later emission's measurement.
+    fn finish_ingest(&mut self, batched: bool, max: Timestamp) -> Result<()> {
+        let advanced = if batched && self.auto_watermark {
+            self.advance_to(max)
+        } else {
+            Ok(())
+        };
+        self.lat_sample = None;
+        advanced
     }
 
     /// Validate and deliver one stream's rows. In batched mode the whole
@@ -1044,13 +1025,9 @@ impl Engine {
                     break;
                 }
             };
-            // With the columnar path on, interning moves from ingest to
-            // batch conversion: `sym_of_column` interns each string
-            // column under one dictionary lock per column instead of one
-            // per value here. Row-path operators stay correct on
-            // un-canonicalized strings (their key codecs fall back to
-            // content lookups), they just lose the pointer fast path.
-            if self.representation == Representation::Interned && !self.columnar {
+            // Interned engines canonicalize string columns at admission,
+            // so operator key codecs resolve them by pointer.
+            if self.representation == Representation::Interned {
                 for &c in &entry.str_cols {
                     self.interner.canonicalize(&mut values[c]);
                 }
@@ -1124,9 +1101,7 @@ impl Engine {
                 return Err(e);
             }
         };
-        // See `ingest_group`: in columnar mode interning happens at
-        // batch conversion, not ingest.
-        if self.representation == Representation::Interned && !self.columnar {
+        if self.representation == Representation::Interned {
             for &c in &entry.str_cols {
                 self.interner.canonicalize(&mut values[c]);
             }
@@ -1312,9 +1287,7 @@ impl Engine {
                 break;
             }
         }
-        if batched && self.auto_watermark {
-            self.advance_to(max)?;
-        }
+        self.finish_ingest(batched, max)?;
         ingested
     }
 
@@ -1408,17 +1381,6 @@ impl Engine {
         // cap the cascade (counted in tuples) generously and report.
         let mut guard: u64 = 0;
         while let Some((stream, batch, mode)) = work.pop_front() {
-            // Only the columnar path shares the batch (so a conversion
-            // can remember it as its row-form source); the Arc wrap
-            // costs an allocation per batch, which row-only engines —
-            // including the differential oracle — must not pay.
-            let columnar_on = self.columnar && self.representation == Representation::Interned;
-            let (shared, plain): (Option<Arc<Vec<Tuple>>>, Vec<Tuple>) = if columnar_on {
-                (Some(Arc::new(batch)), Vec::new())
-            } else {
-                (None, batch)
-            };
-            let batch: &[Tuple] = shared.as_deref().map_or(&plain, Vec::as_slice);
             guard += batch.len() as u64;
             if guard > 10_000_000 {
                 return Err(DsmsError::plan(
@@ -1443,24 +1405,10 @@ impl Engine {
             };
             // One subscription-list clone per batch, not per tuple.
             let subs: Vec<(usize, usize)> = subs.clone();
-            // Columnar form of this batch, built lazily at the first
-            // capable subscriber and shared by the rest. `Some(None)`
-            // means conversion was tried and declined (ragged batch).
-            let mut cols: Option<Option<ColumnBatch>> = None;
             for (idx, port) in subs {
                 if !self.queries[idx].active || !mode.targets(self.queries[idx].consistency) {
                     continue;
                 }
-                let use_cols = columnar_on && self.queries[idx].op.columnar_capable();
-                if use_cols && cols.is_none() {
-                    let rows = shared.as_ref().expect("columnar_on implies a shared batch");
-                    cols = Some(ColumnBatch::from_shared_tuples(rows, Some(&self.interner)));
-                }
-                let cb = if use_cols {
-                    cols.as_ref().and_then(|c| c.as_ref())
-                } else {
-                    None
-                };
                 let mut outs = Vec::new();
                 {
                     let q = &mut self.queries[idx];
@@ -1472,10 +1420,7 @@ impl Engine {
                     let sampled = before & WALL_SAMPLE_MASK == 0
                         || (before >> 6) != ((before + batch.len() as u64) >> 6);
                     let started = sampled.then(std::time::Instant::now);
-                    match cb {
-                        Some(cb) => q.op.process_columns(port, cb, &mut outs)?,
-                        None => q.op.process_batch(port, batch, &mut outs)?,
-                    }
+                    q.op.process_batch(port, &batch, &mut outs)?;
                     if let Some(s) = started {
                         let elapsed = s.elapsed();
                         q.wall.record_duration(elapsed);
@@ -2357,6 +2302,29 @@ mod tests {
             Some(0),
             "ordered stream has no lag"
         );
+    }
+
+    #[test]
+    fn push_batch_discards_unanswered_latency_stamp() {
+        // Only reader `r2` passes: the first batch is dropped whole.
+        let mut e = engine_with_readings();
+        let (_, out) = e
+            .register_collected(
+                "r2_only",
+                vec!["readings"],
+                Box::new(Select::new(Expr::eq(Expr::col(0), Expr::lit("r2")))),
+            )
+            .unwrap();
+        // Seqs 0..9; seq 0 is latency-sampled but emits nothing.
+        e.push_batch((0..10u64).map(|i| ("readings".to_string(), reading(i, "r1", "t"))))
+            .unwrap();
+        assert!(out.is_empty());
+        // Seq 10 is unsampled and emits: it must not close seq 0's stamp.
+        e.push("readings", reading(10, "r2", "t")).unwrap();
+        assert_eq!(out.len(), 1);
+        let snap = e.metrics_snapshot();
+        let lat = snap.histogram("eslev_tuple_latency_ns", &[]).unwrap();
+        assert_eq!(lat.count, 0, "stale stamp recorded a latency sample");
     }
 
     #[test]

@@ -127,43 +127,6 @@ impl StrInterner {
         Sym(self.inner.lock().sym_of(s))
     }
 
-    /// Intern a whole column of strings into `out`, taking the
-    /// dictionary lock once for the column instead of once per value —
-    /// the batch-construction counterpart of [`StrInterner::sym_of`].
-    /// A run-length memo on the previous cell pays for itself on RFID
-    /// feeds, where duplicate readings arrive back to back: a repeat of
-    /// the last string (same pointer, or same bytes when the feed's
-    /// `Arc`s are fresh) skips the dictionary probe entirely.
-    pub fn sym_of_column<'a>(&self, strs: impl Iterator<Item = &'a Arc<str>>, out: &mut Vec<Sym>) {
-        let mut inner = self.inner.lock();
-        let mut memo: Option<(&'a Arc<str>, u32)> = None;
-        out.extend(strs.map(|s| {
-            if let Some((m, sym)) = memo {
-                if Arc::ptr_eq(m, s) || **m == **s {
-                    return Sym(sym);
-                }
-            }
-            let sym = inner.sym_of(s);
-            memo = Some((s, sym));
-            Sym(sym)
-        }));
-    }
-
-    /// Resolve a whole symbol column to its canonical strings, locking
-    /// the dictionary once. Fails on any symbol outside the dictionary.
-    pub fn resolve_column(&self, syms: &[Sym], out: &mut Vec<Arc<str>>) -> Result<()> {
-        let inner = self.inner.lock();
-        out.reserve(syms.len());
-        for sym in syms {
-            out.push(
-                inner.strings.get(sym.0 as usize).cloned().ok_or_else(|| {
-                    DsmsError::ckpt(format!("symbol {} not in dictionary", sym.0))
-                })?,
-            );
-        }
-        Ok(())
-    }
-
     /// Symbol of a string if it is already interned — never inserts.
     /// A `None` from a probe-side lookup means no interned key can
     /// match (table probes use this to answer misses without growing
@@ -293,25 +256,6 @@ mod tests {
         // Re-interning continues past the restored dictionary.
         assert_eq!(j.sym_of(&Arc::from("new")), Sym(3));
         assert!(j.resolve(Sym(9)).is_err());
-    }
-
-    #[test]
-    fn column_helpers_match_per_value_paths() {
-        let i = StrInterner::new();
-        let col: Vec<Arc<str>> = ["a", "b", "a", "c"].iter().map(|s| Arc::from(*s)).collect();
-        let mut syms = Vec::new();
-        i.sym_of_column(col.iter(), &mut syms);
-        assert_eq!(syms, vec![Sym(0), Sym(1), Sym(0), Sym(2)]);
-        assert_eq!(i.entries(), 3);
-        let mut back = Vec::new();
-        i.resolve_column(&syms, &mut back).unwrap();
-        assert_eq!(
-            back.iter().map(|s| s.as_ref()).collect::<Vec<_>>(),
-            vec!["a", "b", "a", "c"]
-        );
-        // Resolved strings are the canonical Arcs.
-        assert!(Arc::ptr_eq(&back[0], &back[2]));
-        assert!(i.resolve_column(&[Sym(9)], &mut Vec::new()).is_err());
     }
 
     #[test]

@@ -127,22 +127,6 @@ impl KeyCodec {
         }
     }
 
-    /// Append an already-interned symbol's encoding — the columnar
-    /// dedup kernel's path: the symbol comes straight off a `Str`
-    /// column, so no dictionary lookup (or lock) is needed. Produces
-    /// exactly the bytes [`KeyCodec::encode_value_into`] would for the
-    /// symbol's string under an interned codec.
-    pub fn encode_sym_into(&self, buf: &mut Vec<u8>, sym: Sym) {
-        buf.push(TAG_STR_SYM);
-        buf.extend_from_slice(&sym.0.to_le_bytes());
-    }
-
-    /// Append the NULL encoding (columnar kernels encode invalid rows
-    /// without building a `Value`).
-    pub fn encode_null_into(&self, buf: &mut Vec<u8>) {
-        buf.push(TAG_NULL);
-    }
-
     /// Encode a full key column list into a reusable scratch buffer
     /// (cleared first). Probe maps with `scratch.as_slice()` afterwards.
     pub fn encode_into(&self, buf: &mut Vec<u8>, vals: &[Value]) {

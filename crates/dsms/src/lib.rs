@@ -41,7 +41,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod agg;
-pub mod batch;
 pub mod ckpt;
 pub mod driver;
 pub mod engine;
@@ -68,7 +67,6 @@ pub mod window;
 /// One-stop imports for building queries against the substrate.
 pub mod prelude {
     pub use crate::agg::{Aggregate, AggregateRegistry, ClosureUda};
-    pub use crate::batch::{Column as BatchColumn, ColumnBatch, ColumnData};
     pub use crate::ckpt::{EngineCheckpoint, StateNode, CHECKPOINT_VERSION};
     pub use crate::driver::{EngineDriver, EngineInput};
     pub use crate::engine::{

@@ -15,7 +15,6 @@
 //! ```
 
 use super::{OpReport, Operator};
-use crate::batch::{ColumnBatch, ColumnData};
 use crate::ckpt::StateNode;
 use crate::error::Result;
 use crate::expr::Expr;
@@ -112,13 +111,7 @@ impl Dedup {
     /// extends the window for later ones). Returns whether `t` passes.
     fn admit(&mut self, t: &Tuple) -> Result<bool> {
         self.encode_key(t)?;
-        Ok(self.admit_scratch(t.ts()))
-    }
-
-    /// The probe itself, keyed by whatever is in the scratch buffer —
-    /// shared by the row path ([`Dedup::admit`]) and the columnar
-    /// kernel, which encodes the key straight from column slices.
-    fn admit_scratch(&mut self, now: Timestamp) -> bool {
+        let now = t.ts();
         let mut dup = false;
         if let Some(seen) = self.last_seen.get_mut(self.scratch.as_slice()) {
             // Window is RANGE w PRECEDING (inclusive): a prior
@@ -132,7 +125,7 @@ impl Dedup {
         if dup {
             self.suppressed += 1;
         }
-        !dup
+        Ok(!dup)
     }
 
     /// Amortized purge: once stream time has advanced 2 windows past
@@ -169,75 +162,6 @@ impl Operator for Dedup {
         Ok(())
     }
 
-    fn columnar_capable(&self) -> bool {
-        // The kernel wants plain column keys (the planner's hot
-        // configuration) and an interned codec — its whole advantage is
-        // writing 4-byte symbol ids into the key without touching the
-        // dictionary lock. Seed codecs and expression keys stay row-wise.
-        self.key_cols.is_some() && self.codec.interner().is_some()
-    }
-
-    fn columns_to_columns(
-        &mut self,
-        port: usize,
-        cols: &ColumnBatch,
-    ) -> Result<Option<ColumnBatch>> {
-        Ok(self
-            .columns_to_selection(port, cols)?
-            .map(|keep| cols.filter(&keep)))
-    }
-
-    fn columns_to_selection(
-        &mut self,
-        _port: usize,
-        cols: &ColumnBatch,
-    ) -> Result<Option<Vec<bool>>> {
-        // Decide fallback *before* any admission mutates state: the
-        // caller replays declined batches through the row path in full.
-        let Some(key_cols) = self.key_cols.clone() else {
-            return Ok(None);
-        };
-        if self.codec.interner().is_none() || key_cols.iter().any(|&c| c >= cols.arity()) {
-            return Ok(None);
-        }
-        let n = cols.len();
-        let mut keep = vec![false; n];
-        for i in 0..n {
-            self.scratch.clear();
-            for &c in &key_cols {
-                let col = cols.column(c);
-                if !col.is_valid(i) {
-                    self.codec.encode_null_into(&mut self.scratch);
-                    continue;
-                }
-                match &col.data {
-                    // The win: the symbol comes straight off the column —
-                    // no dictionary lock, no `Value` clone per probe.
-                    ColumnData::Str(v) => self.codec.encode_sym_into(&mut self.scratch, v[i]),
-                    ColumnData::Int(v) => self
-                        .codec
-                        .encode_value_into(&mut self.scratch, &Value::Int(v[i])),
-                    ColumnData::Float(v) => self
-                        .codec
-                        .encode_value_into(&mut self.scratch, &Value::Float(v[i])),
-                    ColumnData::Bool(v) => self
-                        .codec
-                        .encode_value_into(&mut self.scratch, &Value::Bool(v[i])),
-                    ColumnData::Ts(v) => self
-                        .codec
-                        .encode_value_into(&mut self.scratch, &Value::Ts(v[i])),
-                    ColumnData::Mixed(v) => self.codec.encode_value_into(&mut self.scratch, &v[i]),
-                }
-            }
-            keep[i] = self.admit_scratch(cols.ts()[i]);
-        }
-        if n > 0 {
-            // Mirrors `process_batch`: one amortized purge per batch.
-            self.maybe_purge(cols.ts()[n - 1]);
-        }
-        Ok(Some(keep))
-    }
-
     fn on_punctuation(&mut self, ts: Timestamp, _out: &mut Vec<Tuple>) -> Result<()> {
         self.purge(ts);
         Ok(())
@@ -270,7 +194,6 @@ impl Operator for Dedup {
     fn report(&self) -> OpReport {
         let mut r = OpReport::leaf(self.name(), self.retained());
         r.counters = vec![("suppressed".to_string(), self.suppressed)];
-        r.columnar = Some(self.columnar_capable());
         r
     }
 
@@ -408,54 +331,25 @@ mod tests {
     }
 
     #[test]
-    fn columnar_kernel_matches_row_path() {
-        use crate::intern::{InternerRef, StrInterner};
-        use std::sync::Arc;
-        let interner: InternerRef = Arc::new(StrInterner::new());
-        let codec = KeyCodec::interned(interner.clone());
-        let mut row_d = dedup_1s();
-        row_d.bind_interner(&codec);
-        let mut col_d = dedup_1s();
-        col_d.bind_interner(&codec);
-        assert!(col_d.columnar_capable());
-        // Interleaved duplicates and fresh keys, including a NULL key.
-        let mut tuples = Vec::new();
-        for i in 0..200u64 {
-            let reader = format!("r{}", i % 3);
-            let tag = if i % 7 == 0 {
-                Value::Null
-            } else {
-                Value::str(format!("t{}", i % 5))
-            };
-            tuples.push(Tuple::new(
+    fn null_keys_dedup_like_values() {
+        // NULL equals NULL in a state key: a NULL-tag re-read inside the
+        // window is a duplicate, one outside it passes.
+        let mut d = dedup_1s();
+        let mut out = Vec::new();
+        for (millis, seq) in [(0u64, 0u64), (500, 1), (1600, 2)] {
+            let t = Tuple::new(
                 vec![
-                    Value::str(reader),
-                    tag,
-                    Value::Ts(Timestamp::from_millis(i * 90)),
+                    Value::str("r"),
+                    Value::Null,
+                    Value::Ts(Timestamp::from_millis(millis)),
                 ],
-                Timestamp::from_millis(i * 90),
-                i,
-            ));
+                Timestamp::from_millis(millis),
+                seq,
+            );
+            d.on_tuple(0, &t, &mut out).unwrap();
         }
-        let mut expect = Vec::new();
-        row_d.process_batch(0, &tuples, &mut expect).unwrap();
-        let cb = ColumnBatch::from_tuples(&tuples, Some(&interner)).unwrap();
-        let got = col_d
-            .columns_to_columns(0, &cb)
-            .unwrap()
-            .expect("kernel accepted")
-            .to_tuples()
-            .unwrap();
-        assert_eq!(got, expect);
-        assert_eq!(col_d.suppressed(), row_d.suppressed());
-        assert_eq!(col_d.retained(), row_d.retained());
-        assert_eq!(col_d.state_key_bytes(), row_d.state_key_bytes());
-    }
-
-    #[test]
-    fn seed_codec_stays_row_wise() {
-        let d = dedup_1s(); // KeyCodec::raw() until bound
-        assert!(!d.columnar_capable());
+        assert_eq!(out.len(), 2);
+        assert_eq!(d.suppressed(), 1);
     }
 
     #[test]

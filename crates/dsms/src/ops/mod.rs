@@ -26,7 +26,6 @@ pub use select::Select;
 pub use shared::{SharedCore, SharedCoreRef, SharedTap};
 pub use speculative::SpeculativeGate;
 
-use crate::batch::ColumnBatch;
 use crate::ckpt::StateNode;
 use crate::error::{DsmsError, Result};
 use crate::key::KeyCodec;
@@ -61,10 +60,6 @@ pub struct OpReport {
     pub counters: Vec<(String, u64)>,
     /// Sampled wall-clock per invocation, in nanoseconds.
     pub wall_ns: Option<HistogramSnapshot>,
-    /// Whether the operator would run its columnar kernel
-    /// (`Some(true)`), fall back to rows (`Some(false)`), or has not
-    /// said (`None` — operators without a columnar story).
-    pub columnar: Option<bool>,
     /// Sub-operator reports (chain stages, detector internals).
     pub children: Vec<OpReport>,
 }
@@ -136,66 +131,6 @@ pub trait Operator: Send {
             self.on_tuple(port, t, out)?;
         }
         Ok(())
-    }
-
-    /// Whether the operator has a columnar kernel worth handing a
-    /// [`ColumnBatch`] to. The engine consults this *before* building a
-    /// columnar batch, so row-only operators never pay the conversion.
-    /// Defaults to `false`.
-    fn columnar_capable(&self) -> bool {
-        false
-    }
-
-    /// Run the operator's columnar kernel: consume a [`ColumnBatch`],
-    /// produce a [`ColumnBatch`]. `Ok(None)` means "this batch is not
-    /// one my kernel handles" — the caller must replay the *same* batch
-    /// through the row path, which is authoritative for both output and
-    /// errors. Kernels therefore never raise evaluation errors
-    /// themselves: any input that could error row-wise returns `None`
-    /// so the row path raises the identical error. Implementations must
-    /// not mutate operator state before deciding to return `None`.
-    fn columns_to_columns(
-        &mut self,
-        _port: usize,
-        _cols: &ColumnBatch,
-    ) -> Result<Option<ColumnBatch>> {
-        Ok(None)
-    }
-
-    /// Selection kernels (select, dedup): decide which rows pass
-    /// without building the output batch, so a terminal stage can
-    /// materialize straight from the input batch's row source. Same
-    /// decline contract as [`Operator::columns_to_columns`]: `Ok(None)`
-    /// means "row path replays this batch", and state must not mutate
-    /// before that decision.
-    fn columns_to_selection(
-        &mut self,
-        _port: usize,
-        _cols: &ColumnBatch,
-    ) -> Result<Option<Vec<bool>>> {
-        Ok(None)
-    }
-
-    /// Handle a columnar batch, appending row output to `out`. The
-    /// default tries [`Operator::columns_to_selection`] (materializing
-    /// kept rows directly), then [`Operator::columns_to_columns`],
-    /// falling back to [`Operator::process_batch`] when both decline.
-    /// [`Chain`] overrides this to stay columnar across consecutive
-    /// supporting stages.
-    fn process_columns(
-        &mut self,
-        port: usize,
-        cols: &ColumnBatch,
-        out: &mut Vec<Tuple>,
-    ) -> Result<()> {
-        if let Some(keep) = self.columns_to_selection(port, cols)? {
-            return cols.extend_tuples_selected(&keep, out);
-        }
-        if let Some(res) = self.columns_to_columns(port, cols)? {
-            return res.extend_tuples(out);
-        }
-        let rows = cols.to_tuples()?;
-        self.process_batch(port, &rows, out)
     }
 
     /// Stream time has advanced to `ts`: expire state, emit anything whose
@@ -380,82 +315,6 @@ impl Operator for Chain {
         self.run_batch_from(0, batch, out)
     }
 
-    fn columnar_capable(&self) -> bool {
-        // Worth a columnar batch iff the *head* stage has a kernel; a
-        // row-only head would just materialize immediately.
-        self.stages.first().is_some_and(|s| s.columnar_capable())
-    }
-
-    fn process_columns(
-        &mut self,
-        port: usize,
-        cols: &ColumnBatch,
-        out: &mut Vec<Tuple>,
-    ) -> Result<()> {
-        debug_assert_eq!(port, 0);
-        // Stay columnar stage to stage; materialize rows exactly once,
-        // at the first stage whose kernel declines the batch, and let
-        // `run_batch_from` drive the rest (it owns the stats for the
-        // stages it runs — no double counting).
-        let mut owned: Option<ColumnBatch> = None;
-        for i in 0..self.stages.len() {
-            let cur = owned.as_ref().unwrap_or(cols);
-            if !self.stages[i].columnar_capable() {
-                let rows = cur.to_tuples()?;
-                return self.run_batch_from(i, &rows, out);
-            }
-            let cur_len = cur.len() as u64;
-            let sampled = {
-                let st = &self.stats[i];
-                st.tuples_in & WALL_SAMPLE_MASK == 0
-                    || (st.tuples_in >> 6) != ((st.tuples_in + cur_len) >> 6)
-            };
-            let started = sampled.then(std::time::Instant::now);
-            let last = i + 1 == self.stages.len();
-            // Selection kernels first: a terminal selection stage
-            // materializes kept rows straight off the input batch's
-            // row source, never building the filtered batch.
-            if let Some(keep) = self.stages[i].columns_to_selection(0, cur)? {
-                let kept = keep.iter().filter(|k| **k).count() as u64;
-                let st = &mut self.stats[i];
-                st.tuples_in += cur_len;
-                st.batches += 1;
-                if let Some(s) = started {
-                    st.wall.record_duration(s.elapsed());
-                }
-                st.tuples_out += kept;
-                if kept == 0 {
-                    return Ok(());
-                }
-                if last {
-                    return cur.extend_tuples_selected(&keep, out);
-                }
-                owned = Some(cur.filter(&keep));
-                continue;
-            }
-            match self.stages[i].columns_to_columns(0, cur)? {
-                Some(next) => {
-                    let st = &mut self.stats[i];
-                    st.tuples_in += cur_len;
-                    st.batches += 1;
-                    if let Some(s) = started {
-                        st.wall.record_duration(s.elapsed());
-                    }
-                    st.tuples_out += next.len() as u64;
-                    if next.is_empty() {
-                        return Ok(());
-                    }
-                    owned = Some(next);
-                }
-                None => {
-                    let rows = cur.to_tuples()?;
-                    return self.run_batch_from(i, &rows, out);
-                }
-            }
-        }
-        owned.as_ref().unwrap_or(cols).extend_tuples(out)
-    }
-
     fn on_punctuation(&mut self, ts: Timestamp, out: &mut Vec<Tuple>) -> Result<()> {
         // A punctuation may release buffered tuples at any stage; those
         // must then flow through the *rest* of the chain.
@@ -514,7 +373,6 @@ impl Operator for Chain {
         OpReport {
             name: "chain".to_string(),
             retained: self.retained(),
-            columnar: Some(self.columnar_capable()),
             children,
             ..OpReport::default()
         }

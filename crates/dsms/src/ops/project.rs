@@ -1,7 +1,6 @@
 //! π — column projection / computation.
 
-use super::{OpReport, Operator};
-use crate::batch::ColumnBatch;
+use super::Operator;
 use crate::error::Result;
 use crate::expr::Expr;
 use crate::intern::InternerRef;
@@ -53,14 +52,6 @@ impl Project {
             }
         }
     }
-
-    /// Whether every output is a plain column copy or a literal — the
-    /// shapes the columnar kernel handles without evaluating a row.
-    fn kernel_shape(&self) -> bool {
-        self.exprs
-            .iter()
-            .all(|e| matches!(e, Expr::Col { rel: 0, .. } | Expr::Lit(_) | Expr::Dur(_)))
-    }
 }
 
 impl Operator for Project {
@@ -87,40 +78,6 @@ impl Operator for Project {
         Ok(())
     }
 
-    fn columnar_capable(&self) -> bool {
-        self.kernel_shape()
-    }
-
-    fn columns_to_columns(
-        &mut self,
-        _port: usize,
-        cols: &ColumnBatch,
-    ) -> Result<Option<ColumnBatch>> {
-        let mut out_cols = Vec::with_capacity(self.exprs.len());
-        for e in &self.exprs {
-            match e {
-                // A column copy is a clone of the column vectors — no
-                // per-row work at all.
-                Expr::Col { rel: 0, col } if *col < cols.arity() => {
-                    out_cols.push(cols.column(*col).clone())
-                }
-                Expr::Lit(v) => match cols.lit_column(v) {
-                    Some(c) => out_cols.push(c),
-                    // String literal, no dictionary: row path.
-                    None => return Ok(None),
-                },
-                Expr::Dur(d) => match cols.lit_column(&Value::Int(d.as_micros() as i64)) {
-                    Some(c) => out_cols.push(c),
-                    None => return Ok(None),
-                },
-                // Out-of-range columns error row-wise; computed
-                // expressions evaluate row-wise.
-                _ => return Ok(None),
-            }
-        }
-        Ok(Some(cols.with_projected_columns(out_cols)))
-    }
-
     // Projection is stateless; a punctuation changes nothing.
     fn punctuation_sensitive(&self) -> bool {
         false
@@ -137,12 +94,6 @@ impl Operator for Project {
                 e.canonicalize_lits(int);
             }
         }
-    }
-
-    fn report(&self) -> OpReport {
-        let mut r = OpReport::leaf(self.name(), self.retained());
-        r.columnar = Some(self.columnar_capable());
-        r
     }
 }
 
@@ -175,37 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_matches_row_path() {
-        let interner: InternerRef = Arc::new(StrInterner::new());
-        let exprs = vec![Expr::col(1), Expr::col(0), Expr::lit("fixed")];
-        let tuples: Vec<Tuple> = (0..5)
-            .map(|i| {
-                Tuple::new(
-                    vec![Value::Int(i), Value::str(format!("tag{}", i % 2))],
-                    Timestamp::from_secs(i as u64),
-                    i as u64,
-                )
-            })
-            .collect();
-        let codec = KeyCodec::interned(interner.clone());
-        let mut row_p = Project::new(exprs.clone());
-        row_p.bind_interner(&codec);
-        let mut expect = Vec::new();
-        row_p.process_batch(0, &tuples, &mut expect).unwrap();
-        let mut col_p = Project::new(exprs);
-        col_p.bind_interner(&codec);
-        assert!(col_p.columnar_capable());
-        let cb = ColumnBatch::from_tuples(&tuples, Some(&interner)).unwrap();
-        let got = col_p
-            .columns_to_columns(0, &cb)
-            .unwrap()
-            .expect("kernel shape")
-            .to_tuples()
-            .unwrap();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
     fn computed_string_outputs_are_canonical() {
         let interner: InternerRef = Arc::new(StrInterner::new());
         let concat: crate::expr::ScalarFn = Arc::new(|args: &[Value]| {
@@ -233,5 +153,7 @@ mod tests {
             other => panic!("expected strings, got {other:?}"),
         }
         assert!(interner.lookup_sym("tag-suffix").is_some());
+        // Literals canonicalize once, when the codec is bound.
+        assert!(interner.lookup_sym("-suffix").is_some());
     }
 }

@@ -1,25 +1,9 @@
 //! σ — tuple filter.
-//!
-//! Besides the row path, `Select` carries a columnar kernel: supported
-//! predicates evaluate over [`ColumnBatch`] columns into a three-valued
-//! selection mask without materializing a single `Value`. The kernel is
-//! deliberately over-conservative — any input that *could* make the row
-//! path raise an evaluation error (type mismatch, NaN comparison,
-//! unbound column) declines columnar execution by returning `None`, so
-//! the authoritative row path replays the batch and raises the
-//! identical error. String comparisons stay in symbol space: `Eq`/`Ne`
-//! against a literal resolve the literal through the dictionary once
-//! per batch (never inserting), and each row is a 4-byte id compare.
 
-use super::{OpReport, Operator};
-use crate::batch::{Column, ColumnBatch, ColumnData};
+use super::Operator;
 use crate::error::Result;
-use crate::expr::{BinOp, Expr};
-use crate::intern::Sym;
-use crate::time::Timestamp;
+use crate::expr::Expr;
 use crate::tuple::Tuple;
-use crate::value::Value;
-use std::cmp::Ordering;
 
 /// Emits exactly the input tuples whose predicate holds (NULL = drop).
 pub struct Select {
@@ -30,294 +14,6 @@ impl Select {
     /// Filter by `pred`, evaluated with the tuple as relation 0.
     pub fn new(pred: Expr) -> Select {
         Select { pred }
-    }
-}
-
-/// Static shape check: is `e` a predicate the columnar kernel
-/// understands? The kernel can still decline a particular batch at
-/// runtime (type mismatch, NaN, Mixed column surprises).
-fn kernel_supported(e: &Expr) -> bool {
-    match e {
-        Expr::Lit(Value::Bool(_)) | Expr::Lit(Value::Null) => true,
-        Expr::Col { rel: 0, .. } => true,
-        Expr::Not(inner) => kernel_supported(inner),
-        Expr::IsNull(inner) => is_atom(inner),
-        Expr::Bin(BinOp::And | BinOp::Or, a, b) => kernel_supported(a) && kernel_supported(b),
-        Expr::Bin(BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge, a, b) => {
-            is_atom(a) && is_atom(b)
-        }
-        _ => false,
-    }
-}
-
-fn is_atom(e: &Expr) -> bool {
-    matches!(e, Expr::Lit(_) | Expr::Dur(_) | Expr::Col { rel: 0, .. })
-}
-
-/// One comparison operand: a literal or a column.
-enum Side<'a> {
-    /// Non-string literal (durations lower to `Int` microseconds,
-    /// mirroring `Expr::eval`).
-    Lit(Value),
-    /// String literal: its dictionary symbol if interned (`lookup_sym`
-    /// never inserts — an absent symbol can equal no column value),
-    /// plus the raw value for `Mixed`-column comparisons.
-    Str(Option<Sym>, &'a Value),
-    /// A batch column.
-    Col(&'a Column),
-}
-
-fn side<'a>(cols: &'a ColumnBatch, e: &'a Expr) -> Option<Side<'a>> {
-    match e {
-        Expr::Lit(v @ Value::Str(s)) => {
-            Some(Side::Str(cols.interner().and_then(|i| i.lookup_sym(s)), v))
-        }
-        Expr::Lit(v) => Some(Side::Lit(v.clone())),
-        Expr::Dur(d) => Some(Side::Lit(Value::Int(d.as_micros() as i64))),
-        // An out-of-range column errors row-wise; declining here routes
-        // the batch to the row path, which raises that error.
-        Expr::Col { rel: 0, col } if *col < cols.arity() => Some(Side::Col(cols.column(*col))),
-        _ => None,
-    }
-}
-
-/// One row's view of a [`Side`].
-enum Cell<'a> {
-    Null,
-    I(i64),
-    F(f64),
-    S(Sym),
-    /// String literal (symbol if interned, raw value).
-    SL(Option<Sym>, &'a Value),
-    B(bool),
-    T(Timestamp),
-    /// A `Mixed`-column value (never `Null` — validity catches those).
-    V(&'a Value),
-}
-
-fn cell<'a>(s: &'a Side<'a>, i: usize) -> Cell<'a> {
-    match s {
-        Side::Str(sym, v) => Cell::SL(*sym, v),
-        Side::Lit(v) => match v {
-            Value::Null => Cell::Null,
-            Value::Int(x) => Cell::I(*x),
-            Value::Float(x) => Cell::F(*x),
-            Value::Bool(x) => Cell::B(*x),
-            Value::Ts(x) => Cell::T(*x),
-            Value::Str(_) => unreachable!("string literals use Side::Str"),
-        },
-        Side::Col(c) => {
-            if !c.is_valid(i) {
-                return Cell::Null;
-            }
-            match &c.data {
-                ColumnData::Int(v) => Cell::I(v[i]),
-                ColumnData::Float(v) => Cell::F(v[i]),
-                ColumnData::Str(v) => Cell::S(v[i]),
-                ColumnData::Bool(v) => Cell::B(v[i]),
-                ColumnData::Ts(v) => Cell::T(v[i]),
-                ColumnData::Mixed(v) => Cell::V(&v[i]),
-            }
-        }
-    }
-}
-
-/// Outcome of one row comparison.
-enum Cmp {
-    /// Ordered result, exactly what `sql_cmp` would say.
-    Ord(Ordering),
-    /// Unequal with no usable order (distinct symbols): fine for
-    /// `Eq`/`Ne`, a bail-out for ordering operators.
-    Neq,
-    /// NULL operand: comparison yields NULL.
-    Null,
-    /// The row path might error (or order strings lexicographically):
-    /// decline the batch.
-    Bail,
-}
-
-/// Materialize a scalar cell as a `Value` for `Mixed` comparisons.
-fn cell_value(c: &Cell<'_>) -> Option<Value> {
-    match c {
-        Cell::I(x) => Some(Value::Int(*x)),
-        Cell::F(x) => Some(Value::Float(*x)),
-        Cell::B(x) => Some(Value::Bool(*x)),
-        Cell::T(x) => Some(Value::Ts(*x)),
-        Cell::SL(_, v) => Some((*v).clone()),
-        _ => None,
-    }
-}
-
-fn cmp_cells(a: Cell<'_>, b: Cell<'_>) -> Cmp {
-    use Cell::*;
-    match (&a, &b) {
-        (Null, _) | (_, Null) => Cmp::Null,
-        (I(x), I(y)) => Cmp::Ord(x.cmp(y)),
-        // NaN comparisons error on the row path; `partial_cmp` returning
-        // `None` routes them there.
-        (F(x), F(y)) => x.partial_cmp(y).map_or(Cmp::Bail, Cmp::Ord),
-        (I(x), F(y)) => (*x as f64).partial_cmp(y).map_or(Cmp::Bail, Cmp::Ord),
-        (F(x), I(y)) => x.partial_cmp(&(*y as f64)).map_or(Cmp::Bail, Cmp::Ord),
-        // Symbol space: equal syms ⇔ equal strings. Ordering operators
-        // on strings would need the bytes — those rows bail via `Neq`.
-        (S(x), S(y)) if x == y => Cmp::Ord(Ordering::Equal),
-        (S(_), S(_)) => Cmp::Neq,
-        (S(x), SL(sym, _)) | (SL(sym, _), S(x)) => match sym {
-            Some(s) if s == x => Cmp::Ord(Ordering::Equal),
-            _ => Cmp::Neq,
-        },
-        (B(x), B(y)) => Cmp::Ord(x.cmp(y)),
-        (T(x), T(y)) => Cmp::Ord(x.cmp(y)),
-        (V(x), V(y)) => x.sql_cmp(y).map_or(Cmp::Bail, Cmp::Ord),
-        (V(x), other) => match cell_value(other) {
-            Some(tmp) => x.sql_cmp(&tmp).map_or(Cmp::Bail, Cmp::Ord),
-            None => Cmp::Bail,
-        },
-        (other, V(y)) => match cell_value(other) {
-            Some(tmp) => tmp.sql_cmp(y).map_or(Cmp::Bail, Cmp::Ord),
-            None => Cmp::Bail,
-        },
-        (SL(_, x), SL(_, y)) => match (x, y) {
-            (Value::Str(a), Value::Str(b)) => Cmp::Ord(a.cmp(b)),
-            _ => Cmp::Bail,
-        },
-        // Any remaining pairing is a type mismatch the row path reports
-        // as "cannot compare X with Y".
-        _ => Cmp::Bail,
-    }
-}
-
-fn cmp_mask(cols: &ColumnBatch, op: BinOp, ea: &Expr, eb: &Expr) -> Option<Vec<u8>> {
-    let sa = side(cols, ea)?;
-    let sb = side(cols, eb)?;
-    let n = cols.len();
-    let mut m = Vec::with_capacity(n);
-    for i in 0..n {
-        m.push(match cmp_cells(cell(&sa, i), cell(&sb, i)) {
-            Cmp::Null => 2,
-            Cmp::Bail => return None,
-            Cmp::Neq => match op {
-                BinOp::Eq => 0,
-                BinOp::Ne => 1,
-                _ => return None,
-            },
-            Cmp::Ord(o) => u8::from(match op {
-                BinOp::Eq => o == Ordering::Equal,
-                BinOp::Ne => o != Ordering::Equal,
-                BinOp::Lt => o == Ordering::Less,
-                BinOp::Le => o != Ordering::Greater,
-                BinOp::Gt => o == Ordering::Greater,
-                BinOp::Ge => o != Ordering::Less,
-                _ => unreachable!("cmp_mask only sees comparison operators"),
-            }),
-        });
-    }
-    Some(m)
-}
-
-fn is_null_mask(cols: &ColumnBatch, e: &Expr) -> Option<Vec<u8>> {
-    let n = cols.len();
-    match e {
-        Expr::Lit(v) => Some(vec![u8::from(v.is_null()); n]),
-        Expr::Dur(_) => Some(vec![0; n]),
-        Expr::Col { rel: 0, col } if *col < cols.arity() => {
-            let c = cols.column(*col);
-            Some((0..n).map(|i| u8::from(!c.is_valid(i))).collect())
-        }
-        _ => None,
-    }
-}
-
-/// Evaluate `e` over the batch into a Kleene mask (0 = false, 1 = true,
-/// 2 = NULL). `None` means "run this batch through the row path".
-///
-/// Truth tables mirror `Expr::eval_logic` exactly; the one divergence —
-/// the row path's short-circuit can *suppress* an error in the
-/// unevaluated operand — is safe because the kernel never errors: where
-/// the row path would error, the kernel bails, and where it would
-/// short-circuit past the error, both paths agree on the value.
-fn bool_mask(cols: &ColumnBatch, e: &Expr) -> Option<Vec<u8>> {
-    let n = cols.len();
-    match e {
-        Expr::Lit(Value::Bool(b)) => Some(vec![u8::from(*b); n]),
-        Expr::Lit(Value::Null) => Some(vec![2; n]),
-        Expr::Col { rel: 0, col } if *col < cols.arity() => {
-            let c = cols.column(*col);
-            match &c.data {
-                ColumnData::Bool(v) => Some(
-                    (0..n)
-                        .map(|i| if c.is_valid(i) { u8::from(v[i]) } else { 2 })
-                        .collect(),
-                ),
-                ColumnData::Mixed(v) => {
-                    let mut m = Vec::with_capacity(n);
-                    for val in v {
-                        m.push(match val {
-                            Value::Bool(b) => u8::from(*b),
-                            Value::Null => 2,
-                            // Row path: "used as a boolean" error.
-                            _ => return None,
-                        });
-                    }
-                    Some(m)
-                }
-                // Non-boolean predicate column errors row-wise.
-                _ => None,
-            }
-        }
-        Expr::Not(inner) => Some(
-            bool_mask(cols, inner)?
-                .into_iter()
-                .map(|x| match x {
-                    0 => 1,
-                    1 => 0,
-                    other => other,
-                })
-                .collect(),
-        ),
-        Expr::IsNull(inner) => is_null_mask(cols, inner),
-        Expr::Bin(BinOp::And, a, b) => {
-            let ma = bool_mask(cols, a)?;
-            let mb = bool_mask(cols, b)?;
-            Some(
-                ma.into_iter()
-                    .zip(mb)
-                    .map(|(x, y)| {
-                        if x == 0 || y == 0 {
-                            0
-                        } else if x == 2 || y == 2 {
-                            2
-                        } else {
-                            1
-                        }
-                    })
-                    .collect(),
-            )
-        }
-        Expr::Bin(BinOp::Or, a, b) => {
-            let ma = bool_mask(cols, a)?;
-            let mb = bool_mask(cols, b)?;
-            Some(
-                ma.into_iter()
-                    .zip(mb)
-                    .map(|(x, y)| {
-                        if x == 1 || y == 1 {
-                            1
-                        } else if x == 2 || y == 2 {
-                            2
-                        } else {
-                            0
-                        }
-                    })
-                    .collect(),
-            )
-        }
-        Expr::Bin(
-            op @ (BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
-            a,
-            b,
-        ) => cmp_mask(cols, *op, a, b),
-        _ => None,
     }
 }
 
@@ -338,29 +34,6 @@ impl Operator for Select {
         Ok(())
     }
 
-    fn columnar_capable(&self) -> bool {
-        kernel_supported(&self.pred)
-    }
-
-    fn columns_to_columns(
-        &mut self,
-        port: usize,
-        cols: &ColumnBatch,
-    ) -> Result<Option<ColumnBatch>> {
-        Ok(self
-            .columns_to_selection(port, cols)?
-            .map(|keep| cols.filter(&keep)))
-    }
-
-    fn columns_to_selection(
-        &mut self,
-        _port: usize,
-        cols: &ColumnBatch,
-    ) -> Result<Option<Vec<bool>>> {
-        // NULL predicate drops the row — exactly `eval_bool`.
-        Ok(bool_mask(cols, &self.pred).map(|mask| mask.into_iter().map(|m| m == 1).collect()))
-    }
-
     // Filtering is stateless; a punctuation changes nothing.
     fn punctuation_sensitive(&self) -> bool {
         false
@@ -369,22 +42,14 @@ impl Operator for Select {
     fn name(&self) -> &str {
         "select"
     }
-
-    fn report(&self) -> OpReport {
-        let mut r = OpReport::leaf(self.name(), self.retained());
-        r.columnar = Some(self.columnar_capable());
-        r
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::BinOp;
-    use crate::intern::{InternerRef, StrInterner};
     use crate::time::Timestamp;
     use crate::value::Value;
-    use std::sync::Arc;
 
     #[test]
     fn filters() {
@@ -408,162 +73,38 @@ mod tests {
 
     #[test]
     fn type_errors_propagate() {
-        let mut s = Select::new(Expr::col(0)); // non-boolean column
-        let t = Tuple::new(vec![Value::Int(3)], Timestamp::ZERO, 0);
-        assert!(s.on_tuple(0, &t, &mut Vec::new()).is_err());
-    }
-
-    // --- columnar kernel ---
-
-    fn interner() -> InternerRef {
-        Arc::new(StrInterner::new())
-    }
-
-    fn batch(rows: Vec<Vec<Value>>, int: &InternerRef) -> ColumnBatch {
-        let tuples: Vec<Tuple> = rows
-            .into_iter()
-            .enumerate()
-            .map(|(i, vals)| Tuple::new(vals, Timestamp::from_secs(i as u64), i as u64))
-            .collect();
-        ColumnBatch::from_tuples(&tuples, Some(int)).unwrap()
-    }
-
-    /// The kernel and the row path must agree on every batch they both
-    /// accept — this helper runs both and compares.
-    fn assert_kernel_matches_rows(pred: Expr, cb: &ColumnBatch) {
-        let rows = cb.to_tuples().unwrap();
-        let mut row_sel = Select::new(pred.clone());
-        let mut expect = Vec::new();
-        row_sel.process_batch(0, &rows, &mut expect).unwrap();
-        let mut col_sel = Select::new(pred);
-        let got = col_sel
-            .columns_to_columns(0, cb)
-            .unwrap()
-            .expect("kernel accepted")
-            .to_tuples()
-            .unwrap();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn kernel_matches_rows_on_int_compare() {
-        let int = interner();
-        let cb = batch(
-            vec![
-                vec![Value::Int(5)],
-                vec![Value::Int(10)],
-                vec![Value::Null],
-                vec![Value::Int(15)],
-            ],
-            &int,
-        );
-        for op in [
-            BinOp::Eq,
-            BinOp::Ne,
-            BinOp::Lt,
-            BinOp::Le,
-            BinOp::Gt,
-            BinOp::Ge,
+        let row = |v: Value| Tuple::new(vec![v], Timestamp::ZERO, 0);
+        for (pred, t) in [
+            // Non-boolean predicate column.
+            (Expr::col(0), row(Value::Int(3))),
+            // Int compared with a Bool.
+            (Expr::eq(Expr::col(0), Expr::lit(true)), row(Value::Int(1))),
+            // NaN has no order.
+            (
+                Expr::bin(BinOp::Lt, Expr::col(0), Expr::Lit(Value::Float(f64::NAN))),
+                row(Value::Float(1.0)),
+            ),
+            // Column out of range.
+            (Expr::eq(Expr::col(7), Expr::lit(1i64)), row(Value::Int(1))),
         ] {
-            assert_kernel_matches_rows(Expr::bin(op, Expr::col(0), Expr::lit(10i64)), &cb);
+            let mut s = Select::new(pred);
+            assert!(s.on_tuple(0, &t, &mut Vec::new()).is_err());
         }
     }
 
     #[test]
-    fn kernel_matches_rows_on_sym_equality() {
-        let int = interner();
-        let cb = batch(
-            vec![
-                vec![Value::str("reader1")],
-                vec![Value::str("reader2")],
-                vec![Value::Null],
-            ],
-            &int,
-        );
-        assert_kernel_matches_rows(Expr::eq(Expr::col(0), Expr::lit("reader1")), &cb);
-        assert_kernel_matches_rows(
-            Expr::bin(BinOp::Ne, Expr::col(0), Expr::lit("reader2")),
-            &cb,
-        );
-        // Literal not in the dictionary: equal to nothing, unequal to
-        // every valid row.
-        assert_kernel_matches_rows(Expr::eq(Expr::col(0), Expr::lit("ghost")), &cb);
-    }
-
-    #[test]
-    fn kernel_matches_rows_on_kleene_logic() {
-        let int = interner();
-        let cb = batch(
-            vec![
-                vec![Value::Int(1), Value::str("a")],
-                vec![Value::Int(2), Value::str("b")],
-                vec![Value::Null, Value::str("a")],
-                vec![Value::Int(3), Value::Null],
-            ],
-            &int,
-        );
-        let p = Expr::bin(
-            BinOp::And,
-            Expr::bin(BinOp::Gt, Expr::col(0), Expr::lit(1i64)),
-            Expr::eq(Expr::col(1), Expr::lit("a")),
-        );
-        assert_kernel_matches_rows(p, &cb);
-        let q = Expr::bin(
-            BinOp::Or,
-            Expr::IsNull(Box::new(Expr::col(0))),
-            Expr::Not(Box::new(Expr::eq(Expr::col(1), Expr::lit("b")))),
-        );
-        assert_kernel_matches_rows(q, &cb);
-    }
-
-    #[test]
-    fn kernel_declines_where_rows_would_error() {
-        let int = interner();
-        // Int column compared with a Bool literal: row path errors.
-        let cb = batch(vec![vec![Value::Int(1)]], &int);
-        let mut s = Select::new(Expr::eq(Expr::col(0), Expr::lit(true)));
-        assert!(s.columns_to_columns(0, &cb).unwrap().is_none());
-        // NaN literal: row path errors on the comparison.
+    fn int_float_compare_widens() {
         let mut s = Select::new(Expr::bin(
-            BinOp::Lt,
+            BinOp::Ge,
             Expr::col(0),
-            Expr::Lit(Value::Float(f64::NAN)),
+            Expr::Lit(Value::Float(2.0)),
         ));
-        let cb = batch(vec![vec![Value::Float(1.0)]], &int);
-        assert!(s.columns_to_columns(0, &cb).unwrap().is_none());
-        // Out-of-range column: row path raises "out of range".
-        let cb = batch(vec![vec![Value::Int(1)]], &int);
-        let mut s = Select::new(Expr::eq(Expr::col(7), Expr::lit(1i64)));
-        assert!(s.columns_to_columns(0, &cb).unwrap().is_none());
-    }
-
-    #[test]
-    fn kernel_widens_int_float_like_sql_cmp() {
-        let int = interner();
-        // Mixed Int/Float column + Float literal.
-        let cb = batch(
-            vec![
-                vec![Value::Int(1)],
-                vec![Value::Float(2.5)],
-                vec![Value::Int(3)],
-            ],
-            &int,
-        );
-        assert_kernel_matches_rows(
-            Expr::bin(BinOp::Ge, Expr::col(0), Expr::Lit(Value::Float(2.0))),
-            &cb,
-        );
-    }
-
-    #[test]
-    fn capability_is_static_shape() {
-        assert!(Select::new(Expr::eq(Expr::col(0), Expr::lit(1i64))).columnar_capable());
-        assert!(Select::new(Expr::lit(true)).columnar_capable());
-        // LIKE has no kernel.
-        assert!(!Select::new(Expr::Like(
-            Box::new(Expr::col(0)),
-            crate::expr::LikePattern::compile("a%")
-        ))
-        .columnar_capable());
+        let batch: Vec<Tuple> = [Value::Int(1), Value::Float(2.5), Value::Int(3)]
+            .into_iter()
+            .map(|v| Tuple::new(vec![v], Timestamp::ZERO, 0))
+            .collect();
+        let mut out = Vec::new();
+        s.process_batch(0, &batch, &mut out).unwrap();
+        assert_eq!(out, batch[1..]);
     }
 }

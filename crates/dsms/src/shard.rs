@@ -1259,16 +1259,6 @@ impl ShardedEngine {
         self.trace.enabled()
     }
 
-    /// Opt every shard engine into (or out of) columnar batch
-    /// execution — see [`Engine::set_columnar`]. Routing itself is
-    /// unaffected: shards receive row batches and convert at their own
-    /// dispatch point, so the row/columnar choice stays a per-engine
-    /// execution detail.
-    pub fn set_columnar(&self, on: bool) -> Result<()> {
-        self.exec_all(move |e| e.set_columnar(on))?;
-        Ok(())
-    }
-
     /// Drain every shard's flight recorder plus the router's own events
     /// into one wall-clock-ordered timeline. Shard events carry their
     /// shard index; router events (checkpoints, restarts, merged

@@ -107,11 +107,7 @@ pub fn explain(engine: &Engine, sql: &str) -> Result<String> {
 
 fn explain_select(engine: &Engine, sel: &SelectStmt, sink: &str) -> Result<String> {
     let (naive, optimized, applied) = plan_logical(engine, sel)?;
-    let mut plan = lower(engine, sel, optimized.clone())?;
-    // Freshly lowered operators default to a raw codec; bind the
-    // engine's so capability reflects what registration would produce
-    // (dedup's kernel needs the interned codec).
-    plan.op.bind_interner(engine.key_codec());
+    let plan = lower(engine, sel, optimized.clone())?;
     let mut s = String::from("logical:\n");
     s.push_str(&naive.render());
     if applied.is_empty() {
@@ -126,14 +122,6 @@ fn explain_select(engine: &Engine, sel: &SelectStmt, sink: &str) -> Result<Strin
         plan.name,
         plan.sources.join(", "),
         plan.op.name(),
-    ));
-    s.push_str(&format!(
-        "\ncolumnar: {}",
-        if engine.columnar() && plan.op.columnar_capable() {
-            "yes"
-        } else {
-            "row"
-        }
     ));
     if engine.shared_execution() {
         let fp = crate::fingerprint::shared_fingerprint(sel, &optimized);
@@ -195,7 +183,7 @@ pub fn explain_analyze(engine: &Engine, input: &str) -> Result<String> {
                     .position(|(i, r)| !claimed[i] && r.name.split(" -> ").next() == Some(want))
             })?;
         claimed[idx] = true;
-        Some(analyze_annotation(flat[idx], engine.columnar()))
+        Some(analyze_annotation(flat[idx]))
     }));
     if !applied.is_empty() {
         s.push_str(&format!("rewrites: {}\n", applied.join(", ")));
@@ -250,10 +238,7 @@ fn physical_name_of(node: &LogicalPlan) -> Option<&'static str> {
 }
 
 /// The bracketed runtime annotation appended to a plan line.
-/// `columnar_on` is the engine's effective columnar mode: a stage runs
-/// its kernel only when the engine hands out columnar batches *and* the
-/// operator declared a kernel for its configuration.
-fn analyze_annotation(r: &OpReport, columnar_on: bool) -> String {
+fn analyze_annotation(r: &OpReport) -> String {
     let mut s = format!("  [rows {} -> {}", r.tuples_in, r.tuples_out);
     if r.batches > 0 {
         s.push_str(&format!(", batches {}", r.batches));
@@ -265,12 +250,6 @@ fn analyze_annotation(r: &OpReport, columnar_on: bool) -> String {
     }
     if r.state_bytes > 0 {
         s.push_str(&format!(", state {}B", r.state_bytes));
-    }
-    if let Some(capable) = r.columnar {
-        s.push_str(&format!(
-            ", columnar={}",
-            if columnar_on && capable { "yes" } else { "row" }
-        ));
     }
     s.push_str(&format!(", retained {}]", r.retained));
     s

@@ -11,8 +11,7 @@
 //! All logic lives in [`eslev::repl`]; this binary is the stdin loop.
 //! Pass `--shards N` to run the shell over an EPC-partitioned
 //! [`eslev::dsms::shard::ShardedEngine`] (inspect it with `SHOW SHARDS`),
-//! `--columnar` to execute capable query chains over SoA column
-//! batches (the chosen path shows up in `EXPLAIN ANALYZE`).
+//! and `--share` to run fingerprint-equal queries through one chain.
 
 use eslev::repl::Repl;
 use std::io::{BufRead, Write};
@@ -21,7 +20,6 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let mut shards: Option<usize> = None;
     let mut share = false;
-    let mut columnar = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--shards" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
@@ -32,16 +30,13 @@ fn main() {
                 }
             },
             "--share" => share = true,
-            "--columnar" => columnar = true,
             other => {
-                eprintln!(
-                    "unknown argument `{other}` (supported: --shards N, --share, --columnar)"
-                );
+                eprintln!("unknown argument `{other}` (supported: --shards N, --share)");
                 std::process::exit(2);
             }
         }
     }
-    let mut repl = match Repl::with_config(shards, share, columnar) {
+    let mut repl = match Repl::with_config(shards, share) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");

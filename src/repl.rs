@@ -71,23 +71,14 @@ impl Repl {
     /// `shards` workers. SQL statements are broadcast to every shard;
     /// `.poll` reads deterministically merged output.
     pub fn with_shards(shards: usize) -> Result<Repl, DsmsError> {
-        Repl::with_config(Some(shards), false, false)
+        Repl::with_config(Some(shards), false)
     }
 
     /// Fresh shell with every option explicit: optional sharding,
     /// multi-query shared execution (`--share`), which routes
     /// fingerprint-equal continuous queries through one physical chain
-    /// per engine (inspect it with `SHOW SHARED`), and the columnar
-    /// batch path (`--columnar`), which runs capable operator chains
-    /// over SoA [`ColumnBatch`]es instead of row slices (inspect the
-    /// chosen path with `EXPLAIN ANALYZE`).
-    ///
-    /// [`ColumnBatch`]: eslev_dsms::batch::ColumnBatch
-    pub fn with_config(
-        shards: Option<usize>,
-        share: bool,
-        columnar: bool,
-    ) -> Result<Repl, DsmsError> {
+    /// per engine (inspect it with `SHOW SHARED`).
+    pub fn with_config(shards: Option<usize>, share: bool) -> Result<Repl, DsmsError> {
         match shards {
             None => {
                 let mut r = Repl::new();
@@ -95,13 +86,11 @@ impl Repl {
                     unreachable!()
                 };
                 e.set_shared_execution(share);
-                e.set_columnar(columnar);
                 Ok(r)
             }
             Some(n) => {
                 let se = ShardedEngine::build(n, 1024, ShardSpec::new(), move |e| {
                     e.set_shared_execution(share);
-                    e.set_columnar(columnar);
                     register_epc_udfs(e.functions_mut());
                     register_epc_match_udf(e.functions_mut());
                     Ok(vec![])
@@ -1662,42 +1651,6 @@ mod tests {
         // Extra words flow through to the SQL parser, like SHOW STATS.
         let out = r.line("CHECKPOINT NOW;");
         assert!(out.starts_with("error:"), "{out}");
-    }
-
-    #[test]
-    fn columnar_flag_shows_up_in_explain_surfaces() {
-        // Row mode: capable stages report columnar=row.
-        let mut r = Repl::new();
-        r.line("CREATE STREAM readings (reader_id VARCHAR, tag_id VARCHAR, read_time TIMESTAMP);");
-        r.line("SELECT tag_id FROM readings WHERE reader_id <> '';");
-        r.line(".scenario dedup 20");
-        let out = r.line("EXPLAIN SELECT tag_id FROM readings WHERE reader_id <> '';");
-        assert!(out.contains("columnar: row"), "{out}");
-        let out = r.line("EXPLAIN ANALYZE SELECT tag_id FROM readings WHERE reader_id <> '';");
-        assert!(out.contains("columnar=row"), "{out}");
-
-        // Columnar mode: the same plan reports columnar=yes and still
-        // answers the query.
-        let mut r = Repl::with_config(None, false, true).unwrap();
-        r.line("CREATE STREAM readings (reader_id VARCHAR, tag_id VARCHAR, read_time TIMESTAMP);");
-        r.line("SELECT tag_id FROM readings WHERE reader_id <> '';");
-        r.line(".scenario dedup 20");
-        let out = r.line("EXPLAIN SELECT tag_id FROM readings WHERE reader_id <> '';");
-        assert!(out.contains("columnar: yes"), "{out}");
-        let out = r.line("EXPLAIN ANALYZE SELECT tag_id FROM readings WHERE reader_id <> '';");
-        assert!(out.contains("columnar=yes"), "{out}");
-        let out = r.line(".poll 0");
-        assert!(out.contains("tag-"), "{out}");
-
-        // Sharded columnar mode works end to end as well.
-        let mut r = Repl::with_config(Some(2), false, true).unwrap();
-        r.line("CREATE STREAM readings (reader_id VARCHAR, tag_id VARCHAR, read_time TIMESTAMP);");
-        r.line("SELECT tag_id FROM readings WHERE reader_id <> '';");
-        r.line(".scenario dedup 20");
-        let out = r.line("EXPLAIN ANALYZE SELECT tag_id FROM readings WHERE reader_id <> '';");
-        assert!(out.contains("columnar=yes"), "{out}");
-        let out = r.line(".poll 0");
-        assert!(out.contains("tag-"), "{out}");
     }
 
     #[test]

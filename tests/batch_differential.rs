@@ -1,15 +1,21 @@
 //! Batch-vs-tuple differential: `Engine::push_batch` must produce
 //! byte-identical query output to pushing the same rows one at a time
 //! with `Engine::push`, at every batch size — including batches whose
-//! internal timestamp spread expires windows mid-batch.
+//! internal timestamp spread expires windows mid-batch, batches fed
+//! through a disorder tolerance, and batches routed by an EPC-sharded
+//! `ShardedEngine::push_batch` at N ∈ {1, 2, 4, 8}.
 //!
 //! Three paper workloads cover the punctuation-sensitive operator
-//! classes: E1 (windowed NOT EXISTS dedup), E6 (multi-stream SEQ with a
-//! window and partition keys), E10 (star SEQ with a COUNT aggregate).
+//! classes: E1 (windowed NOT EXISTS dedup, alone and behind a
+//! selection), E6 (multi-stream SEQ with a window and partition keys, in
+//! every pairing mode), E10 (star SEQ with a COUNT aggregate).
 
 use eslev::prelude::*;
 
 const BATCH_SIZES: [usize; 4] = [1, 7, 64, 4096];
+
+/// Shard counts of the sharded arm, each fed at batch 7 and 64.
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Deterministic LCG — same feed on every run, no external crates.
 struct Lcg(u64);
@@ -29,47 +35,140 @@ impl Lcg {
 }
 
 type Row = (String, Vec<Value>);
+type Out = Vec<(Vec<Value>, Timestamp)>;
 
-/// Build an engine from a DDL+query script; return it and its collector.
-fn build(script: &str, query: &str) -> (Engine, Collector) {
+fn rows_of(tuples: &[Tuple]) -> Out {
+    tuples
+        .iter()
+        .map(|t| (t.values().to_vec(), t.ts()))
+        .collect()
+}
+
+/// Build an engine from a DDL+query script, every stream tolerating
+/// `slack` of disorder if given; return it and its collector.
+fn build(script: &str, query: &str, slack: Option<Duration>) -> (Engine, Collector) {
     let mut e = Engine::new();
     execute_script(&mut e, script).expect("script");
+    if let Some(slack) = slack {
+        for s in e.stream_stats() {
+            e.set_disorder_tolerance(&s.name, slack)
+                .expect("tolerant stream");
+        }
+    }
     let out = execute(&mut e, query).expect("query");
     let c = out.collector().expect("bare SELECT collects").clone();
     (e, c)
 }
 
-/// Two identical engines from a DDL+query script.
-fn pair(script: &str, query: &str) -> ((Engine, Collector), (Engine, Collector)) {
-    (build(script, query), build(script, query))
+/// Feed `rows` one `push` at a time (`batch` is `None`) or in
+/// `push_batch` chunks, flush any disorder buffer, return the output.
+fn run_single(
+    script: &str,
+    query: &str,
+    rows: &[Row],
+    batch: Option<usize>,
+    slack: Option<Duration>,
+) -> Out {
+    let (mut e, c) = build(script, query, slack);
+    match batch {
+        None => {
+            for (stream, values) in rows {
+                e.push(stream, values.clone()).expect("push");
+            }
+        }
+        Some(b) => {
+            for chunk in rows.chunks(b) {
+                e.push_batch(chunk.iter().cloned()).expect("push_batch");
+            }
+        }
+    }
+    e.flush_disorder().expect("flush disorder");
+    rows_of(&c.take())
+}
+
+/// Feed `rows` through an EPC-sharded engine at `shards` workers — one
+/// `push` at a time (`batch` is `None`) or in `push_batch` chunks — and
+/// read the deterministically merged output.
+fn run_sharded(
+    script: &str,
+    query: &str,
+    rows: &[Row],
+    batch: Option<usize>,
+    shards: usize,
+) -> Out {
+    let (script, query) = (script.to_string(), query.to_string());
+    let mut se = ShardedEngine::build(shards, 1024, ShardSpec::new(), move |e| {
+        execute_script(e, &script)?;
+        let out = execute(e, &query)?;
+        Ok(vec![out.collector().expect("bare SELECT collects").clone()])
+    })
+    .expect("sharded build");
+    match batch {
+        None => {
+            for (stream, values) in rows {
+                se.push(stream, values.clone()).expect("push");
+            }
+        }
+        Some(b) => {
+            for chunk in rows.chunks(b) {
+                se.push_batch(chunk.to_vec()).expect("push_batch");
+            }
+        }
+    }
+    se.flush().expect("flush");
+    let got = rows_of(&se.take_output(0).expect("slot 0"));
+    se.stop().expect("clean stop");
+    got
+}
+
+/// How a workload's `push_batch` run is fed and what it must equal.
+#[derive(Clone, Copy)]
+enum Arm {
+    /// One engine at every batch size, which must equal its `push` loop;
+    /// with a slack, every stream tolerates that much disorder and the
+    /// reorder buffer is flushed at the end.
+    Single(Option<Duration>),
+    /// EPC-sharded `push_batch` at batch 7 and 64, which must equal the
+    /// single engine's `push` loop.
+    Sharded,
+    /// EPC-sharded `push_batch` at batch 7 and 64, which must equal the
+    /// same shard count's `push` loop. For queries EPC routing does not
+    /// preserve: sharding may change their answer, batching must not.
+    ShardedVsPush,
 }
 
 /// Feed `rows` tuple-at-a-time into one engine and in `batch`-sized
-/// chunks into the other; assert the collected outputs match exactly
-/// (values and timestamps).
-fn assert_equivalent(script: &str, query: &str, rows: &[Row], label: &str) {
-    for batch in BATCH_SIZES {
-        let ((mut e_tuple, c_tuple), (mut e_batch, c_batch)) = pair(script, query);
-        for (stream, values) in rows {
-            e_tuple.push(stream, values.clone()).expect("push");
+/// chunks into others, as the workload's `arm` says; assert the
+/// collected outputs match exactly (values and timestamps).
+fn assert_equivalent(script: &str, query: &str, rows: &[Row], arm: Arm, label: &str) {
+    let slack = match arm {
+        Arm::Single(slack) => slack,
+        Arm::Sharded | Arm::ShardedVsPush => None,
+    };
+    let want = run_single(script, query, rows, None, slack);
+    assert!(!want.is_empty(), "{label}: workload produced no output");
+    if let Arm::Single(slack) = arm {
+        for batch in BATCH_SIZES {
+            assert_eq!(
+                run_single(script, query, rows, Some(batch), slack),
+                want,
+                "{label}: batch size {batch} diverged from tuple-at-a-time"
+            );
         }
-        for chunk in rows.chunks(batch) {
-            e_batch
-                .push_batch(chunk.iter().cloned())
-                .expect("push_batch");
-        }
-        let take = |c: &Collector| -> Vec<(Vec<Value>, Timestamp)> {
-            c.take()
-                .iter()
-                .map(|t| (t.values().to_vec(), t.ts()))
-                .collect()
+        return;
+    }
+    for shards in SHARD_COUNTS {
+        let reference = match arm {
+            Arm::ShardedVsPush => run_sharded(script, query, rows, None, shards),
+            _ => want.clone(),
         };
-        let (a, b) = (take(&c_tuple), take(&c_batch));
-        assert_eq!(
-            a, b,
-            "{label}: batch size {batch} diverged from tuple-at-a-time"
-        );
-        assert!(!a.is_empty(), "{label}: workload produced no output");
+        for batch in [7, 64] {
+            assert_eq!(
+                run_sharded(script, query, rows, Some(batch), shards),
+                reference,
+                "{label}: {shards} shards at batch {batch} diverged from tuple-at-a-time"
+            );
+        }
     }
 }
 
@@ -78,7 +177,40 @@ fn assert_equivalent(script: &str, query: &str, rows: &[Row], label: &str) {
 /// the mid-batch expiry case.
 #[test]
 fn e1_dedup_batch_equals_tuple() {
-    assert_equivalent(E1_SCRIPT, E1_QUERY, &e1_rows(0), "E1 dedup");
+    let arm = Arm::Single(None);
+    assert_equivalent(E1_SCRIPT, E1_QUERY, &e1_rows(0), arm, "E1 dedup");
+}
+
+/// E1 dedup routed by EPC over N ∈ {1, 2, 4, 8} shards.
+#[test]
+fn e1_dedup_sharded_batch_equals_tuple() {
+    let label = "E1 dedup sharded";
+    assert_equivalent(E1_SCRIPT, E1_QUERY, &e1_rows(0), Arm::Sharded, label);
+}
+
+/// E1 behind a selection. The selection keeps the planner from
+/// specializing the NOT EXISTS into a dedup: it runs as a two-port
+/// window semi-join whose outputs the sharded merge orders by shard
+/// among equal timestamps.
+#[test]
+fn e1_selected_batch_equals_tuple() {
+    let query = "SELECT * FROM readings AS r1
+     WHERE r1.reader_id <> 'reader1' AND NOT EXISTS
+       (SELECT * FROM TABLE( readings OVER (RANGE 1 SECONDS PRECEDING CURRENT)) AS r2
+        WHERE r2.reader_id = r1.reader_id AND r2.tag_id = r1.tag_id)";
+    for arm in [Arm::Single(None), Arm::ShardedVsPush] {
+        assert_equivalent(E1_SCRIPT, query, &e1_rows(0), arm, "E1 select+dedup");
+    }
+}
+
+/// E1 under bounded disorder: the feed is perturbed by up to 0.8 s and
+/// a 1 s reorder buffer restores order, which re-batches releases
+/// internally; `push_batch` into it must match a `push` loop.
+#[test]
+fn e1_disordered_batch_equals_tuple() {
+    let rows = perturb_rows(e1_rows(0), 7, Duration::from_micros(800_000));
+    let arm = Arm::Single(Some(Duration::from_secs(1)));
+    assert_equivalent(E1_SCRIPT, E1_QUERY, &rows, arm, "E1 disordered");
 }
 
 const E1_SCRIPT: &str =
@@ -111,16 +243,22 @@ fn e1_rows(start_us: u64) -> Vec<Row> {
 }
 
 /// E6: three-stage SEQ (shelf → checkout → exit) with per-tag partition
-/// equalities, a gap constraint, and MODE RECENT.
+/// equalities and a gap constraint, in all four pairing modes.
 #[test]
 fn e6_seq_batch_equals_tuple() {
+    assert_e6_equivalent(Arm::Single(None), "E6 seq");
+}
+
+/// E6 routed by EPC over N ∈ {1, 2, 4, 8} shards, in all four modes.
+#[test]
+fn e6_seq_sharded_batch_equals_tuple() {
+    assert_e6_equivalent(Arm::Sharded, "E6 seq sharded");
+}
+
+fn assert_e6_equivalent(arm: Arm, label: &str) {
     let script = "CREATE STREAM shelf (tagid VARCHAR, tagtime TIMESTAMP);
          CREATE STREAM checkout (tagid VARCHAR, tagtime TIMESTAMP);
          CREATE STREAM exits (tagid VARCHAR, tagtime TIMESTAMP)";
-    let query = "SELECT s.tagid, x.tagtime FROM shelf AS s, checkout AS c, exits AS x
-         WHERE SEQ(s, c, x) MODE RECENT
-           AND s.tagid = c.tagid AND c.tagid = x.tagid
-           AND x.tagtime - c.tagtime <= 120 SECONDS";
     let mut rng = Lcg(12);
     let mut ts = 0u64;
     let streams = ["shelf", "checkout", "exits"];
@@ -136,13 +274,32 @@ fn e6_seq_batch_equals_tuple() {
             )
         })
         .collect();
-    assert_equivalent(script, query, &rows, "E6 seq");
+    for mode in ["UNRESTRICTED", "RECENT", "CHRONICLE", "CONSECUTIVE"] {
+        let query = format!(
+            "SELECT s.tagid, x.tagtime FROM shelf AS s, checkout AS c, exits AS x
+             WHERE SEQ(s, c, x) MODE {mode}
+               AND s.tagid = c.tagid AND c.tagid = x.tagid
+               AND x.tagtime - c.tagtime <= 120 SECONDS"
+        );
+        assert_equivalent(script, &query, &rows, arm, &format!("{label} {mode}"));
+    }
 }
 
 /// E10: star sequence SEQ(a*, b) in CHRONICLE mode with a star COUNT,
 /// runs of `a` closed by a `b`.
 #[test]
 fn e10_star_batch_equals_tuple() {
+    assert_e10_equivalent(Arm::Single(None), "E10 star");
+}
+
+/// E10 routed by EPC over N ∈ {1, 2, 4, 8} shards. The pattern has no
+/// partition key, so EPC routing splits each run from its closing `b`.
+#[test]
+fn e10_star_sharded_batch_equals_tuple() {
+    assert_e10_equivalent(Arm::ShardedVsPush, "E10 star sharded");
+}
+
+fn assert_e10_equivalent(arm: Arm, label: &str) {
     let script = "CREATE STREAM scans (tagid VARCHAR, tagtime TIMESTAMP);
          CREATE STREAM cases (tagid VARCHAR, tagtime TIMESTAMP)";
     let query = "SELECT COUNT(a*), b.tagid FROM scans AS a, cases AS b
@@ -171,7 +328,7 @@ fn e10_star_batch_equals_tuple() {
             ],
         ));
     }
-    assert_equivalent(script, query, &rows, "E10 star");
+    assert_equivalent(script, query, &rows, arm, label);
 }
 
 /// What one way of feeding left behind: the error that stopped it, the
@@ -186,7 +343,7 @@ type Outcome = (
 /// Feed `rows` until the first refused row — one `push` at a time when
 /// `batch` is `None`, else in `push_batch` chunks — then push `next`.
 fn feed_until_refused(rows: &[Row], batch: Option<usize>, next: &Row) -> Outcome {
-    let (mut engine, out) = build(E1_SCRIPT, E1_QUERY);
+    let (mut engine, out) = build(E1_SCRIPT, E1_QUERY, None);
     let refused = match batch {
         None => rows
             .iter()
